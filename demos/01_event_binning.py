@@ -7,6 +7,9 @@ a binary [T, 2, H, W] tensor: cell (t, c, y, x) is 1 iff at least one event
 of polarity c fired at (x, y) during bin t.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from etide.events import (bin_events, random_bar_scene, read_evt, read_ocm,
@@ -38,8 +41,11 @@ for y in range(occ.frames.shape[2]):
     print(row)
 
 # both container formats round-trip losslessly
-write_evt("/tmp/demo_scene.evt1", stream)
-write_ocm("/tmp/demo_scene.ocm1", occ)
-assert np.array_equal(read_evt("/tmp/demo_scene.evt1").t, stream.t)
-assert np.array_equal(read_ocm("/tmp/demo_scene.ocm1").frames, occ.frames)
+with tempfile.TemporaryDirectory() as tmp:
+    evt_path = os.path.join(tmp, "demo_scene.evt1")
+    ocm_path = os.path.join(tmp, "demo_scene.ocm1")
+    write_evt(evt_path, stream)
+    write_ocm(ocm_path, occ)
+    assert np.array_equal(read_evt(evt_path).t, stream.t)
+    assert np.array_equal(read_ocm(ocm_path).frames, occ.frames)
 print("\nEVT1 and OCM1 round-trips exact")

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .events import FileFormatError, OccurrenceTensor, read_ocm, write_ocm
-from .metrics import MetricAccumulator, binarize, format_record, format_table
+from .metrics import binarize, format_record, format_table
 from .model import (CheckpointError, ModelConfig, init_params,
                     load_checkpoint, save_checkpoint)
 from .numerics import check_model_gradients, run_op_suite
@@ -140,26 +140,16 @@ def _cmd_eval(args) -> int:
             (dataset.height, dataset.width) != (cfg.height, cfg.width):
         raise ValueError("dataset does not match the checkpoint model")
 
-    report = rollout_eval(model, dataset)
+    taus = _GRID_TAUS if args.threshold_grid else ()
+    report = rollout_eval(model, dataset, taus=taus)
     print("model " + format_record(report["model"]))
     print("persistence " + format_record(report["persistence"]))
-    if args.threshold_grid:
-        for tau, scores in _threshold_grid(model, dataset):
-            print(f"grid tau={tau:.1f} iou_on={scores['iou_on']:.6f} "
-                  f"iou_off={scores['iou_off']:.6f} "
-                  f"miou={scores['miou']:.6f} aiou={scores['aiou']:.6f}")
+    for tau, scores in report["grid"]:
+        print(f"grid tau={tau:.1f} iou_on={scores['iou_on']:.6f} "
+              f"iou_off={scores['iou_off']:.6f} "
+              f"miou={scores['miou']:.6f} aiou={scores['aiou']:.6f}")
     print(format_table(report["model"]))
     return 0
-
-
-def _threshold_grid(model, dataset):
-    accs = {tau: MetricAccumulator() for tau in _GRID_TAUS}
-    for i in range(len(dataset)):
-        x, y = dataset[i]
-        probs = predict(model, x[None])[0]
-        for tau, acc in accs.items():
-            acc.update((probs >= tau).astype(np.uint8), y)
-    return [(tau, acc.finalize()) for tau, acc in accs.items()]
 
 
 def _cmd_gradcheck(args) -> int:

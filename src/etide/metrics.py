@@ -11,6 +11,7 @@ OR-ing the two channels. MSE and windowed SSIM report pixel fidelity.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _METRIC_KEYS = ("iou_on", "iou_off", "miou", "aiou", "mse", "ssim")
 
@@ -18,6 +19,10 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
+# Normalised 1-D Gaussian; its outer product with itself is the SSIM window.
+_SSIM_GAUSS = np.exp(-(np.arange(_SSIM_WINDOW) - _SSIM_WINDOW // 2) ** 2
+                     / (2.0 * _SSIM_SIGMA ** 2))
+_SSIM_GAUSS /= _SSIM_GAUSS.sum()
 
 
 def otsu_threshold(probs: np.ndarray) -> float:
@@ -77,18 +82,13 @@ def mse(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(np.mean((pred - gt) ** 2))
 
 
-def _gaussian_window() -> np.ndarray:
-    half = _SSIM_WINDOW // 2
-    g = np.exp(-np.arange(-half, half + 1) ** 2 / (2.0 * _SSIM_SIGMA ** 2))
-    window = np.outer(g, g)
-    return window / window.sum()
-
-
 def ssim(x: np.ndarray, y: np.ndarray) -> float:
     """Mean windowed SSIM between two [H,W] images on unit range.
 
     11x11 Gaussian window (sigma 1.5), C1=0.01^2, C2=0.03^2; windows are
     taken fully inside the image, so both sides must be at least 11 wide.
+    The window is separable, so each local mean is two passes of the
+    normalised 1-D Gaussian, along W and then along H.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -98,12 +98,9 @@ def ssim(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(
             f"image {x.shape} smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
 
-    window = _gaussian_window()
-    shape = (_SSIM_WINDOW, _SSIM_WINDOW)
-
     def filt(img):
-        views = np.lib.stride_tricks.sliding_window_view(img, shape)
-        return np.tensordot(views, window, axes=([2, 3], [0, 1]))
+        rows = sliding_window_view(img, _SSIM_WINDOW, axis=1) @ _SSIM_GAUSS
+        return sliding_window_view(rows, _SSIM_WINDOW, axis=0) @ _SSIM_GAUSS
 
     mu_x = filt(x)
     mu_y = filt(y)

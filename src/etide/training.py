@@ -410,19 +410,28 @@ def persistence_forecast(x: np.ndarray, t_out: int) -> np.ndarray:
 
 
 def rollout_eval(model: TideModel, dataset: SequenceDataset,
-                 indices=None) -> dict:
-    """Globally accumulated metrics for the model and the persistence baseline."""
+                 indices=None, taus=()) -> dict:
+    """Globally accumulated metrics for the model and the persistence baseline.
+
+    Each tau in taus also scores the model's masks at the fixed threshold
+    probs >= tau, from the same forecast; those rows are returned in
+    order as report["grid"], a list of (tau, scores) pairs.
+    """
     if indices is None:
         indices = range(len(dataset))
     acc_model = MetricAccumulator()
     acc_pers = MetricAccumulator()
+    acc_grid = [MetricAccumulator() for _ in taus]
     for i in indices:
         x, y = dataset[i]
         probs = predict(model, x[None])[0]
         acc_model.update(binarize(probs), y, probs)
+        for tau, acc in zip(taus, acc_grid):
+            acc.update((probs >= tau).astype(np.uint8), y)
         pers = persistence_forecast(x, dataset.t_out)
         acc_pers.update(pers, y, pers.astype(np.float64))
-    return {"model": acc_model.finalize(), "persistence": acc_pers.finalize()}
+    return {"model": acc_model.finalize(), "persistence": acc_pers.finalize(),
+            "grid": [(tau, acc.finalize()) for tau, acc in zip(taus, acc_grid)]}
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ Exit-code contract: 0 success, 1 usage, 2 validation, 3 I/O.
 import numpy as np
 import pytest
 
+from etide import cli, training
 from etide.cli import main
 from etide.events import read_ocm
 from etide.losses import LossConfig
-from etide.model import ModelConfig, init_params, save_checkpoint
+from etide.metrics import MetricAccumulator
+from etide.model import (ModelConfig, init_params, load_checkpoint,
+                         save_checkpoint)
 from etide.training import (SequenceDataset, TrainConfig, load_dataset,
-                            make_moving_bar_dataset, save_dataset,
+                            make_moving_bar_dataset, predict, save_dataset,
                             train_config_to_text)
 
 MODEL = dict(t_in=3, t_out=3, height=16, width=16, c_step=2, n_blocks=1,
@@ -202,6 +205,41 @@ class TestPredictEval:
         assert len(grid) == 9
         taus = [l.split()[1] for l in grid]
         assert taus == [f"tau={0.1 * i:.1f}" for i in range(1, 10)]
+
+    def test_eval_threshold_grid_reuses_one_forecast(self, tmp_path, ckpt,
+                                                     capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert main(synth_args(data, 2)) == 0
+        calls = []
+
+        def counting_predict(model, x):
+            calls.append(1)
+            return predict(model, x)
+
+        # patch every module that looks predict up by name
+        monkeypatch.setattr(training, "predict", counting_predict)
+        monkeypatch.setattr(cli, "predict", counting_predict)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--threshold-grid"]) == 0
+        assert len(calls) == 2
+        grid = [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("grid ")]
+
+        model = load_checkpoint(ckpt)
+        dataset = load_dataset(data)
+        accs = {round(0.1 * i, 1): MetricAccumulator() for i in range(1, 10)}
+        for i in range(len(dataset)):
+            x, y = dataset[i]
+            probs = predict(model, x[None])[0]
+            for tau, acc in accs.items():
+                acc.update((probs >= tau).astype(np.uint8), y)
+        want = []
+        for tau, acc in accs.items():
+            s = acc.finalize()
+            want.append(f"grid tau={tau:.1f} iou_on={s['iou_on']:.6f} "
+                        f"iou_off={s['iou_off']:.6f} miou={s['miou']:.6f} "
+                        f"aiou={s['aiou']:.6f}")
+        assert grid == want
 
     def test_eval_persistence_perfect_on_static_targets(self, tmp_path, ckpt,
                                                         capsys):

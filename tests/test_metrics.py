@@ -315,11 +315,19 @@ class TestFidelity:
         assert ssim(x, x) == pytest.approx(1.0, abs=1e-6)
 
     def test_ssim_matches_loop_reference(self):
+        # non-square shapes catch a swapped pass axis or a wrong crop, 11x11
+        # is the single-window case, and eval scores against binary targets
         rng = np.random.default_rng(31)
-        for _ in range(3):
-            x = rng.random((14, 14))
-            y = np.clip(x + rng.normal(0, 0.2, size=(14, 14)), 0, 1)
-            assert ssim(x, y) == pytest.approx(ssim_oracle(x, y), abs=1e-10)
+        pairs = []
+        for shape in ((14, 14), (14, 14), (14, 14), (11, 23), (23, 11),
+                      (11, 11)):
+            x = rng.random(shape)
+            pairs.append((x, np.clip(x + rng.normal(0, 0.2, size=shape), 0, 1)))
+        probs = rng.random((16, 20))
+        pairs.append((probs, (probs + rng.normal(0, 0.2, size=probs.shape)
+                              > 0.5).astype(np.float64)))
+        for x, y in pairs:
+            assert ssim(x, y) == pytest.approx(ssim_oracle(x, y), abs=1e-12)
 
     def test_ssim_penalizes_noise(self):
         rng = np.random.default_rng(37)
