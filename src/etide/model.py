@@ -270,12 +270,10 @@ class TideModel:
     def decode(self, z: Tensor) -> Tensor:
         """Upsample back to full resolution and emit T_out*2 logit maps."""
         cfg = self.config
-        pad = (cfg.k_resample - 1) // 2
         h = z
         for j in range(cfg.stages):
-            h = ops.upsample_nearest2(h)
-            h = ops.conv2d(h, self[f"dec{j}.conv.w"], self[f"dec{j}.conv.b"],
-                           stride=1, padding=pad)
+            h = ops.upsample2_conv2d(h, self[f"dec{j}.conv.w"],
+                                     self[f"dec{j}.conv.b"])
             h = ops.layer_norm_channels(h, self[f"dec{j}.ln.g"],
                                         self[f"dec{j}.ln.b"])
             h = ops.gelu(h)

@@ -97,6 +97,23 @@ def op_suite_cases() -> dict:
         return (lambda: _scalarize(ops.conv2d(x, w, b, stride=2, padding=1),
                                    np.random.default_rng(seed + 1))), [x, w, b]
 
+    def conv2d_s2_im2col(seed):
+        # cout > 4*cin takes im2col; conv2d_s2 takes the stride phases
+        rng = np.random.default_rng(seed)
+        x = _p(rng, (1, 2, 6, 5), "x")
+        w = _p(rng, (9, 2, 3, 3), "w")
+        b = _p(rng, (9,), "b")
+        return (lambda: _scalarize(ops.conv2d(x, w, b, stride=2, padding=1),
+                                   np.random.default_rng(seed + 1))), [x, w, b]
+
+    def upsample_conv(seed):
+        rng = np.random.default_rng(seed)
+        x = _p(rng, (2, 3, 3, 4), "x")
+        w = _p(rng, (4, 3, 3, 3), "w")
+        b = _p(rng, (4,), "b")
+        return (lambda: _scalarize(ops.upsample2_conv2d(x, w, b),
+                                   np.random.default_rng(seed + 1))), [x, w, b]
+
     def depthwise(seed):
         rng = np.random.default_rng(seed)
         x = _p(rng, (2, 4, 6, 6), "x")
@@ -246,6 +263,7 @@ def op_suite_cases() -> dict:
     return {
         "conv2d_stride1": conv2d_s1,
         "conv2d_stride2": conv2d_s2,
+        "conv2d_stride2_im2col": conv2d_s2_im2col,
         "conv2d_depthwise": depthwise,
         "conv2d_depthwise_dilated": depthwise_dilated,
         "conv2d_pointwise": pointwise,
@@ -260,6 +278,7 @@ def op_suite_cases() -> dict:
         "gated_product": gated,
         "gated_product_no_base": gated_no_base,
         "upsample_nearest2": upsample,
+        "upsample2_conv2d": upsample_conv,
         "frame_diff": framediff,
         "add_scale_reshape": arithmetic_chain,
         "focal_loss_map": focal,

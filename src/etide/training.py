@@ -170,16 +170,40 @@ class AdamState:
         return state
 
 
+def grad_norm(params) -> float:
+    """Global L2 norm of the gradients; parameters without one are skipped."""
+    return sum(float((p.grad ** 2).sum()) for p in params
+               if p.grad is not None) ** 0.5
+
+
+def _check_finite(params, epoch: int, step: int, **values) -> None:
+    """Raise ValueError unless every named value is finite. The message
+    names the bad values, the epoch and step (both counted from 1) and the
+    first parameter whose value, or failing that whose gradient, is not
+    finite."""
+    bad = [name for name, v in values.items() if not np.isfinite(v).all()]
+    if not bad:
+        return
+    culprit = next((p.name for p in params if not np.isfinite(p.data).all()),
+                   None)
+    if culprit is None:
+        culprit = next((p.name for p in params if p.grad is not None
+                        and not np.isfinite(p.grad).all()), "none")
+    raise ValueError(
+        f"non-finite {' and '.join(bad)} at epoch {epoch}, step {step}; "
+        f"first bad parameter: {culprit}")
+
+
 def adam_step(params, state: AdamState, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8,
-              grad_clip: float = 0.0) -> None:
-    """One bias-corrected Adam update in place; missing grads count as zero."""
+              grad_clip: float = 0.0, norm: float | None = None) -> None:
+    """One bias-corrected Adam update in place; missing grads count as zero.
+    `norm` is grad_norm(params) when the caller has it already."""
     params = list(params)
     scale = 1.0
     if grad_clip > 0.0:
-        sq = sum(float((p.grad ** 2).sum()) for p in params
-                 if p.grad is not None)
-        norm = sq ** 0.5
+        if norm is None:
+            norm = grad_norm(params)
         if norm > grad_clip:
             scale = grad_clip / norm
 
@@ -323,7 +347,10 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
 
     Epoch-derived random streams make a resumed run replay exactly what the
     unbroken run would have done from that epoch on. Returns the model and
-    one history record per completed epoch.
+    one history record per completed epoch. Non-finite logits, loss or
+    global gradient norm raise ValueError, naming the epoch, the step and
+    the first bad parameter, before the weights change; no checkpoint is
+    written for that epoch.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -340,6 +367,7 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
         state = AdamState(model)
     train_idx, val_idx = split_indices(len(dataset), cfg.val_split)
     history: list[dict] = []
+    params = model.parameters()
 
     for epoch in range(state.epochs_done, cfg.epochs):
         order = np.random.default_rng(
@@ -355,10 +383,17 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
             with Tape() as tape:
                 logits = model.forward(Tensor(x), training=True,
                                        rng=droppath_rng)
+                # before the loss: its KL term rejects non-finite rows itself
+                _check_finite(params, epoch + 1, step + 1,
+                              logits=logits.data)
                 loss = total_loss(logits, y, cfg.loss)
                 tape.backward(loss)
-            adam_step(model.parameters(), state, lr=cfg.lr, beta1=cfg.beta1,
-                      beta2=cfg.beta2, eps=cfg.eps, grad_clip=cfg.grad_clip)
+            norm = grad_norm(params)
+            _check_finite(params, epoch + 1, step + 1, loss=loss.data,
+                          gradient_norm=norm)
+            adam_step(params, state, lr=cfg.lr, beta1=cfg.beta1,
+                      beta2=cfg.beta2, eps=cfg.eps, grad_clip=cfg.grad_clip,
+                      norm=norm)
             loss_sum += loss.item() * len(batch)
 
         state.epochs_done = epoch + 1
@@ -455,11 +490,9 @@ def estimate_activation_bytes(cfg: ModelConfig, batch: int = 1,
     per_block = (7 * d + 2 * cfg.ffn_expansion * d) * plane \
         + 2 * plane + 2 * (d + cfg.gate_hidden)
     values += cfg.n_blocks * batch * per_block
-    prev = d
     for i, width_out in enumerate(cfg.dec_widths):
         up = (hp * 2 ** (i + 1)) * (wp * 2 ** (i + 1))
-        values += batch * (prev * up + 3 * width_out * up)
-        prev = width_out
+        values += 3 * batch * width_out * up  # upsample+conv, norm, gelu
     values += 2 * batch * cfg.t_out * 2 * h * w  # head + reshape
     return values * bytes_per_value
 

@@ -3,6 +3,10 @@
 Exit-code contract: 0 success, 1 usage, 2 validation, 3 I/O.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -134,6 +138,61 @@ class TestTrain:
                           if l.startswith("epoch=2")]
         assert full_epoch2 and full_epoch2 == resumed_epoch2
         assert (out_a.read_bytes() == out_c.read_bytes())
+
+    def test_nonfinite_step_exits_2_and_keeps_checkpoint(self, tmp_path,
+                                                         capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, 4)) == 0
+        out = tmp_path / "model.etw"
+        assert main(["train", "--data", str(data), "--config",
+                     str(write_train_config(tmp_path / "cfg1.txt")),
+                     "--out", str(out)]) == 0
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()
+                  if f.is_file()}
+        poisoned = load_checkpoint(out)
+        poisoned["dec1.conv.w"].data[0, 0, 1, 1] = np.nan
+        bad = tmp_path / "bad" / "poisoned.etw"
+        bad.parent.mkdir()
+        save_checkpoint(bad, poisoned)
+        (tmp_path / "bad" / "poisoned.etw.opt.npz").write_bytes(
+            before["model.etw.opt.npz"])
+        capsys.readouterr()
+        cfg2 = write_train_config(tmp_path / "cfg2.txt", epochs=2)
+        assert main(["train", "--data", str(data), "--config", str(cfg2),
+                     "--out", str(out), "--resume", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "epoch 2, step 1" in err and "dec1.conv.w" in err
+        after = {f.name: f.read_bytes() for f in tmp_path.iterdir()
+                 if f.is_file()}
+        assert after.keys() - {"cfg2.txt"} == before.keys()
+        assert all(after[name] == before[name] for name in before)
+
+    def test_checkpoint_independent_of_blas_threads(self, tmp_path):
+        # at 64x64 the dec1 GEMMs (16 x 32 x 1088 multiply-adds per parity)
+        # exceed OpenBLAS's default size threshold for threading, so the
+        # two-thread run really splits work
+        data = tmp_path / "data"
+        assert main(synth_args(data, 4, size="64x64")) == 0
+        cfg = write_train_config(
+            tmp_path / "cfg.txt", batch_size=2,
+            model=model_cfg(height=64, width=64, c_step=4,
+                            enc_widths=(16,), dec_widths=(32, 16)))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        checkpoints = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [os.path.join(root, "src"),
+                              env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}" / "model.etw"
+            proc = subprocess.run(
+                [sys.executable, "-m", "etide", "train", "--data", str(data),
+                 "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            checkpoints.append(out.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_resume_config_mismatch(self, tmp_path):
         data = tmp_path / "data"

@@ -52,6 +52,29 @@ def conv2d_oracle(x, w, b=None, stride=1, padding=0, dilation=1,
     return out
 
 
+def tap_loop_reference(x, w, b=None, stride=1, padding=0):
+    """The per-tap tensordot formula the conv kernels used before the
+    per-shape kernels, kept to compare float32 results against."""
+    k = w.shape[2]
+    h_out = (x.shape[2] + 2 * padding - k) // stride + 1
+    w_out = (x.shape[3] + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((x.shape[0], w.shape[0], h_out, w_out), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            xs = xp[:, :, i:i + stride * (h_out - 1) + 1:stride,
+                    j:j + stride * (w_out - 1) + 1:stride]
+            out += np.tensordot(w[:, :, i, j], xs,
+                                axes=([1], [1])).transpose(1, 0, 2, 3)
+    if b is not None:
+        out += b[None, :, None, None]
+    return out
+
+
+def upsample_oracle(x):
+    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+
 def quantile_oracle(values, q):
     ordered = sorted(float(v) for v in np.asarray(values).reshape(-1))
     return ordered[math.ceil(q * len(ordered)) - 1]
@@ -105,11 +128,119 @@ class TestConv2d:
                          stride=stride, padding=padding).data
         assert np.allclose(got, expected, atol=1e-10)
 
+    # each kernel: flat per-tap GEMMs at stride 1 (k = 1, 3, 5) and on the
+    # stride phases (strides 2 and 3, odd and even sizes, k = 3 and 5);
+    # im2col for strided convs with cout > 4*cin
+    @pytest.mark.parametrize("cin,cout,k,stride,padding", [
+        (3, 4, 1, 1, 0), (3, 4, 3, 1, 1), (3, 4, 5, 1, 2), (3, 4, 5, 1, 0),
+        (12, 4, 3, 2, 1), (3, 4, 3, 2, 0), (3, 4, 5, 2, 2), (5, 4, 3, 3, 1),
+        (2, 9, 3, 2, 1), (1, 8, 5, 2, 2)])
+    def test_matches_oracle_each_kernel(self, cin, cout, k, stride, padding):
+        rng = np.random.default_rng(cin * 10 + k)
+        x = rng.normal(size=(3, cin, 9, 6))
+        w = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        expected = conv2d_oracle(x, w, b, stride=stride, padding=padding)
+        got = ops.conv2d(Tensor(x, dtype=np.float64),
+                         Tensor(w, dtype=np.float64),
+                         Tensor(b, dtype=np.float64),
+                         stride=stride, padding=padding).data
+        assert got.flags.c_contiguous
+        assert np.allclose(got, expected, atol=1e-10)
+
+    # Float32 agreement with the tap-loop formula at model-like shapes. The
+    # kernels sum the same products in another order, so entries may differ
+    # by a few float32 roundings of the largest partial sum: the bound is
+    # 64 float32 epsilons of the largest output magnitude.
+    @pytest.mark.parametrize("b,cin,cout,h,w,k,stride", [
+        (1, 40, 24, 16, 12, 3, 1), (2, 24, 16, 10, 14, 1, 1),
+        (4, 2, 16, 32, 32, 3, 2), (2, 16, 4, 16, 16, 3, 2),
+        (1, 32, 8, 17, 15, 3, 2)])
+    def test_float32_matches_tap_loop(self, b, cin, cout, h, w, k, stride):
+        rng = np.random.default_rng(k + stride + cin)
+        x = (rng.random((b, cin, h, w)) < 0.3).astype(np.float32)
+        wt = rng.uniform(-0.2, 0.2, size=(cout, cin, k, k)).astype(np.float32)
+        bias = rng.uniform(-0.1, 0.1, size=cout).astype(np.float32)
+        pad = (k - 1) // 2
+        ref = tap_loop_reference(x, wt, bias, stride, pad)
+        got = ops.conv2d(Tensor(x), Tensor(wt), Tensor(bias), stride=stride,
+                         padding=pad).data
+        assert got.dtype == np.float32
+        tol = 64 * np.finfo(np.float32).eps * np.abs(ref).max()
+        assert np.abs(got - ref).max() <= tol
+
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 3, 5, 5)))
         w = Tensor(np.zeros((2, 4, 3, 3)))
         with pytest.raises(ShapeError, match="channel"):
             ops.conv2d(x, w)
+
+
+def _grads(fn, tensors, weights):
+    """Gradients of sum(fn() * weights) with respect to each tensor."""
+    for t in tensors:
+        t.grad = None
+    with Tape() as tape:
+        tape.backward(ops.weighted_sum(fn(), weights))
+    return [t.grad for t in tensors]
+
+
+class TestUpsample2Conv:
+    """upsample2_conv2d against the two ops it fuses."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_float64_matches_upsample_then_conv(self, k):
+        rng = np.random.default_rng(k)
+        x, w, b = (Parameter(rng.normal(size=s), n, dtype=np.float64)
+                   for s, n in (((2, 3, 5, 4), "x"), ((4, 3, k, k), "w"),
+                                ((4,), "b")))
+        fused = lambda: ops.upsample2_conv2d(x, w, b)
+        split = lambda: ops.conv2d(ops.upsample_nearest2(x), w, b,
+                                   padding=(k - 1) // 2)
+        assert fused().data.shape == (2, 4, 10, 8)
+        assert np.abs(fused().data - split().data).max() <= 1e-12
+        weights = rng.normal(size=(2, 4, 10, 8))
+        for got, want in zip(_grads(fused, [x, w, b], weights),
+                             _grads(split, [x, w, b], weights)):
+            assert np.abs(got - want).max() <= 1e-12
+
+    # float32: the fused op sums taps into effective weights before the
+    # GEMM, so it rounds differently from the split ops; bound as in
+    # test_float32_matches_tap_loop, 64 epsilons of the largest magnitude
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_float32_matches_upsample_then_conv(self, k):
+        rng = np.random.default_rng(10 + k)
+        x, w, b = (Parameter(rng.uniform(-1, 1, size=s), n, dtype=np.float32)
+                   for s, n in (((1, 24, 8, 6), "x"), ((16, 24, k, k), "w"),
+                                ((16,), "b")))
+        fused = lambda: ops.upsample2_conv2d(x, w, b)
+        split = lambda: ops.conv2d(ops.upsample_nearest2(x), w, b,
+                                   padding=(k - 1) // 2)
+        eps = np.finfo(np.float32).eps
+        ref = split().data
+        assert fused().data.dtype == np.float32
+        assert np.abs(fused().data - ref).max() <= 64 * eps * np.abs(ref).max()
+        weights = rng.uniform(-1, 1, size=ref.shape).astype(np.float32)
+        for got, want in zip(_grads(fused, [x, w, b], weights),
+                             _grads(split, [x, w, b], weights)):
+            assert np.abs(got - want).max() <= 64 * eps * np.abs(want).max()
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(1, 2, 3, 5))
+        w = rng.normal(size=(3, 2, 3, 3))
+        got = ops.upsample2_conv2d(Tensor(x, dtype=np.float64),
+                                   Tensor(w, dtype=np.float64)).data
+        expected = conv2d_oracle(upsample_oracle(x), w, padding=1)
+        assert np.allclose(got, expected, atol=1e-10)
+
+    def test_rejects_even_kernel_and_channel_mismatch(self):
+        with pytest.raises(ShapeError, match="odd"):
+            ops.upsample2_conv2d(Tensor(np.zeros((1, 2, 3, 3))),
+                                 Tensor(np.zeros((1, 2, 2, 2))))
+        with pytest.raises(ShapeError, match="channel"):
+            ops.upsample2_conv2d(Tensor(np.zeros((1, 2, 3, 3))),
+                                 Tensor(np.zeros((1, 3, 3, 3))))
 
 
 class TestDepthwise:
@@ -183,6 +314,15 @@ class TestPointwise:
         got = ops.conv2d_pointwise(Tensor(x), Tensor(w)).data
         assert np.allclose(got, 2.0)
 
+    def test_batched_output_contiguous(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(3, 4, 5, 2))
+        w = rng.normal(size=(6, 4, 1, 1))
+        got = ops.conv2d_pointwise(Tensor(x, dtype=np.float64),
+                                   Tensor(w, dtype=np.float64)).data
+        assert got.flags.c_contiguous
+        assert np.allclose(got, conv2d_oracle(x, w), atol=1e-10)
+
     def test_zero_weight_bias_only(self):
         x = Tensor(np.random.default_rng(1).normal(size=(1, 3, 4, 4)))
         w = Tensor(np.zeros((2, 3, 1, 1)))
@@ -234,6 +374,25 @@ class TestActivations:
         assert ops.gelu(Tensor(np.array([0.0]))).data[0] == 0.0
         assert ops.gelu(Tensor(np.array([1.0]))).data[0] == pytest.approx(
             0.8413, abs=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_match_piecewise_form(self, dtype):
+        z = np.concatenate([
+            np.linspace(-120.0, 120.0, 48001),
+            np.random.default_rng(0).normal(scale=30.0, size=4000),
+            [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-30, -1e-30,
+             np.finfo(dtype).max, -np.finfo(dtype).max]]).astype(dtype)
+        pos = z >= 0
+        want = np.empty_like(z)
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        got = ops.sigmoid(Tensor(z)).data
+        assert got.dtype == dtype
+        # same bits everywhere except the sign of a NaN, which carries none
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].tobytes(), want[~nan].tobytes())
 
     def test_sigmoid_extremes_stable(self):
         got = ops.sigmoid(Tensor(np.array([-500.0, 500.0]))).data

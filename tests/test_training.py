@@ -16,7 +16,7 @@ from etide.numerics import Tape, Tensor
 from etide.numerics.tensor import Parameter
 from etide.training import (AdamState, SequenceDataset, TrainConfig,
                             adam_step, benchmark, estimate_activation_bytes,
-                            load_dataset, make_moving_bar_dataset,
+                            grad_norm, load_dataset, make_moving_bar_dataset,
                             persistence_forecast, predict, rollout_eval,
                             save_dataset, split_indices, train,
                             train_config_from_text, train_config_to_text)
@@ -103,6 +103,18 @@ class TestAdam:
         adam_step([p], state, lr=1e-3, grad_clip=1.0)
         clipped = adam_oracle(0.0, [1.0], lr=1e-3)
         assert p.data[0] == pytest.approx(clipped, abs=1e-12)
+
+    def test_grad_norm_is_global_and_reused_by_clip(self):
+        p = Parameter(np.array([3.0]), "w", dtype=np.float64)
+        q = Parameter(np.array([0.0, 0.0]), "v", dtype=np.float64)
+        r = Parameter(np.array([1.0]), "u", dtype=np.float64)
+        p.grad, q.grad, r.grad = np.array([3.0]), np.array([0.0, 4.0]), None
+        assert grad_norm([p, q, r]) == 5.0
+        state = AdamState(_ParamBag([p, q, r]))
+        # a given norm is used as is: 10 against a clip of 1 scales by 0.1
+        adam_step([p, q, r], state, lr=1e-3, grad_clip=1.0, norm=10.0)
+        assert p.data[0] == pytest.approx(
+            adam_oracle(3.0, [0.3], lr=1e-3), abs=1e-12)
 
     def test_state_roundtrip(self, tmp_path):
         cfg = tiny_model_cfg()
@@ -283,6 +295,15 @@ class TestTrainLoop:
             hist_full[1]["train_loss"], abs=1e-7)
         for p, q in zip(unbroken.parameters(), resumed.parameters()):
             assert np.array_equal(p.data, q.data), p.name
+
+    def test_nonfinite_step_raises_before_checkpoint(self, tmp_path):
+        cfg = tiny_train_cfg(epochs=2)
+        model = init_params(cfg.model, seed=0)
+        model["blk0.pw.b"].data[0] = np.nan
+        with pytest.raises(ValueError, match=r"epoch 1, step 1; "
+                           r"first bad parameter: blk0\.pw\.b"):
+            train(model, tiny_dataset(4), cfg, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_checkpoints_written_at_interval(self, tmp_path):
         cfg = tiny_train_cfg(epochs=4, checkpoint_interval=2)
