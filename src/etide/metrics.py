@@ -40,8 +40,10 @@ def otsu_threshold(probs: np.ndarray) -> float:
     if not bool(np.all((flat >= 0.0) & (flat <= 1.0))):
         raise ValueError("probabilities must lie in [0, 1]")
 
-    hist, _ = np.histogram(flat, bins=256, range=(0.0, 1.0))
-    hist = hist.astype(np.float64)
+    # bin k holds [k/256, (k+1)/256), bin 255 also 1.0; 256*p is exact
+    bins = (flat * 256.0).astype(np.intp)
+    np.minimum(bins, 255, out=bins)
+    hist = np.bincount(bins, minlength=256).astype(np.float64)
     levels = (np.arange(256) + 0.5) / 256.0
 
     mass = np.cumsum(hist)

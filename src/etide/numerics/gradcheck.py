@@ -248,6 +248,14 @@ def op_suite_cases() -> dict:
             ops.focal_loss_map(logits, y, alpha=0.5, gamma=0.0),
             np.random.default_rng(seed + 1))), [logits]
 
+    def focal_gamma_half(seed):
+        rng = np.random.default_rng(seed)
+        logits = _p(rng, (2, 3, 3, 4), "s", -4.0, 4.0)
+        y = (rng.random((2, 3, 3, 4)) < 0.3).astype(np.float64)
+        return (lambda: _scalarize(
+            ops.focal_loss_map(logits, y, alpha=0.25, gamma=0.5),
+            np.random.default_rng(seed + 1))), [logits]
+
     def droppath(seed):
         rng = np.random.default_rng(seed)
         x = _p(rng, (6, 3, 2, 2), "x")
@@ -283,6 +291,7 @@ def op_suite_cases() -> dict:
         "add_scale_reshape": arithmetic_chain,
         "focal_loss_map": focal,
         "focal_loss_map_gamma0": focal_gamma0,
+        "focal_loss_map_gamma_half": focal_gamma_half,
         "drop_path": droppath,
     }
 

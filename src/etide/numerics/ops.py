@@ -25,6 +25,11 @@ tensordot per tap before:
 Backward passes rebuild padded inputs and columns from the saved input
 instead of keeping them on the tape.
 
+focal_loss_map computes one exp(-|s|) per logit on the true-class form,
+with no np.logaddexp (a scalar libm loop): on the 1.31M float32 logits of
+a learning-check train step (batch 4), forward 121 -> 22 ms, backward
+17 -> 8 ms, same 2-vCPU VM.
+
 Ops preserve the dtype of their inputs so the same code runs in float32
 for training and float64 for finite-difference checking.
 """
@@ -47,12 +52,16 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; names the bad dimension."""
 
 
+def _recording(*inputs: Tensor) -> bool:
+    """Whether an op on these inputs records onto the active tape."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _track(data: np.ndarray, *inputs: Tensor):
     """Wrap a result; return (out, tape) with tape=None when not recording."""
-    tape = active_tape()
-    recording = tape is not None and any(t.requires_grad for t in inputs)
+    recording = _recording(*inputs)
     out = Tensor(data, requires_grad=recording)
-    return out, (tape if recording else None)
+    return out, (active_tape() if recording else None)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +163,13 @@ def sigmoid(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out, tape = _track(x.data * cdf, x)
+    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    # the backward needs cdf; without a tape the product overwrites it
+    data = np.multiply(x.data, cdf, out=None if _recording(x) else cdf)
+    out, tape = _track(data, x)
     if tape is not None:
         def backward():
             pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
@@ -166,13 +180,15 @@ def gelu(x: Tensor) -> Tensor:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # bit for bit the piecewise form 1/(1+exp(-z)) for z >= 0 and
-    # exp(z)/(1+exp(z)) below; exp(-|z|) never overflows, and two buffers
-    # replace the boolean fancy indexing
+    # exp(z)/(1+exp(z)) below; exp(-|z|) never overflows. The numerator
+    # max(e, [z >= 0]) is 1 or e without a masked write, which mispredicts
+    # on mixed signs (13.1 against 4.5 ms on 1.3M random float32 logits)
     e = np.asarray(np.exp(-np.abs(z)))
-    d = 1.0 + e
-    np.copyto(e, 1.0, where=z >= 0)
-    e /= d
-    return e
+    num = np.greater_equal(z, 0.0, out=np.empty_like(e))
+    np.maximum(e, num, out=num)
+    e += 1.0
+    num /= e
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +583,15 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(
             f"layer_norm_channels: gamma/beta must have shape ({c},), "
             f"got {gamma.shape} / {beta.shape}")
+    # two full-size buffers: xn (first x - mu) and data (first its square)
     mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    xn = np.subtract(x.data, mu)
+    data = np.multiply(xn, xn)
+    var = data.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xn = xc * inv
-    data = gamma.data[None, :, None, None] * xn + beta.data[None, :, None, None]
+    xn *= inv
+    np.multiply(gamma.data[None, :, None, None], xn, out=data)
+    data += beta.data[None, :, None, None]
     out, tape = _track(data, x, gamma, beta)
     if tape is not None:
         def backward():
@@ -829,8 +848,18 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     """Elementwise focal binary cross-entropy from logits.
 
     -alpha*y*(1-p)^gamma*log(p+eps) - (1-alpha)*(1-y)*p^gamma*log(1-p+eps)
-    with p = sigmoid(logits); the logs go through log-sigmoid identities so
-    saturated logits stay finite.
+    with p = sigmoid(logits). Targets are binary, so each cell is one term
+    on the true-class logit t = s (y = 1) or t = -s (y = 0):
+
+        -w * (1 - sigmoid(t))^gamma * log(sigmoid(t) + eps),
+        w = alpha (y = 1) or 1 - alpha (y = 0).
+
+    One e = exp(-|s|) gives sigmoid(t) and 1 - sigmoid(t) (the bits of
+    `_sigmoid`), log sigmoid(t) = -(max(-t, 0) + log1p(e)), and
+    log(sigmoid(t) + eps) = max(a, log eps) + log1p(exp(-|a - log eps|))
+    for a = log sigmoid(t), so saturated logits stay finite. The tape keeps
+    sigmoid(t), 1 - sigmoid(t), its gamma power, the log term and y; the
+    backward is dL/ds = sign(t/s) * dL/dt.
     """
     logits = as_tensor(logits)
     y = np.asarray(targets)
@@ -840,25 +869,58 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("focal_loss_map: targets must be binary {0,1}")
     y = y.astype(logits.dtype, copy=False)
-
-    s = logits.data
-    p = _sigmoid(s)
-    q = _sigmoid(-s)                       # 1 - p, computed stably
     log_eps = math.log(eps)
-    # log(p+eps) = logaddexp(log p, log eps), log p = -softplus(-s)
-    logp_eps = np.logaddexp(-np.logaddexp(-s, 0.0), log_eps)
-    logq_eps = np.logaddexp(-np.logaddexp(s, 0.0), log_eps)
-    pg = p ** gamma
-    qg = q ** gamma
-    data = -alpha * y * qg * logp_eps - (1.0 - alpha) * (1.0 - y) * pg * logq_eps
+
+    # flat views: every ufunc then returns an array, a 0-d input included
+    s = logits.data.reshape(-1)
+    yf = y.reshape(-1)
+    buf = np.multiply(yf, 2.0)
+    buf -= 1.0
+    t = np.multiply(s, buf)                # true-class logit
+    st = np.greater_equal(t, 0.0, out=np.empty_like(s))
+    e = np.abs(s)
+    np.negative(e, out=e)
+    np.exp(e, out=e)                       # exp(-|s|)
+    # the log term is built in place of t
+    np.log1p(e, out=buf)
+    np.negative(t, out=t)
+    np.maximum(t, 0.0, out=t)
+    t += buf                               # -a, a = log sigmoid(t)
+    np.add(t, log_eps, out=buf)
+    np.abs(buf, out=buf)
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
+    np.log1p(buf, out=buf)
+    np.negative(t, out=t)
+    np.maximum(t, log_eps, out=t)
+    logt = np.add(t, buf, out=t)           # log(sigmoid(t) + eps)
+    # numerators 1 or e: max(e, [t >= 0]) and max(e, [t < 0]), as in _sigmoid
+    sf = np.subtract(1.0, st, out=buf)
+    np.maximum(e, st, out=st)
+    np.maximum(e, sf, out=sf)
+    np.add(e, 1.0, out=e)
+    st /= e                                # sigmoid(t)
+    sf /= e                                # 1 - sigmoid(t)
+    sfg = np.power(sf, gamma, out=e)
+    data = np.multiply(yf, 1.0 - 2.0 * alpha)
+    data += alpha - 1.0                    # -w
+    data *= sfg
+    data *= logt
+    data = data.reshape(logits.shape)
     out, tape = _track(data, logits)
     if tape is not None:
         def backward():
-            pos = alpha * y * (gamma * p * qg * logp_eps
-                               - p * q * qg / (p + eps))
-            neg = (1.0 - alpha) * (1.0 - y) * (p * q * pg / (q + eps)
-                                               - gamma * q * pg * logq_eps)
-            logits.accumulate_grad(out.grad * (pos + neg))
+            # dL/dt = w*st*sfg*(gamma*logt - sf/(st+eps)); sign*w = y+alpha-1
+            g = np.add(st, eps)
+            np.divide(sf, g, out=g)
+            d = np.multiply(logt, gamma)
+            d -= g
+            d *= st
+            d *= sfg
+            np.add(yf, alpha - 1.0, out=g)
+            d *= g
+            d *= out.grad.reshape(-1)
+            logits.accumulate_grad(d.reshape(logits.shape))
         tape.record(out, backward)
     return out
 

@@ -162,6 +162,44 @@ class TestPolarityFocal:
         assert np.all(grad[targets == 1] < 0)
         assert np.all(grad[targets == 0] > 0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_float32_map_matches_float64_closed_form(self, gamma):
+        # forward and backward of the float32 op against the closed form
+        # evaluated in float64, with p and 1 - p from separate exponentials
+        alpha, eps = 0.75, 1e-8
+        special = [0.0, 1e-3, -1e-3, 3.0, -3.0, 20.0, -20.0, 88.0, -88.0,
+                   1e4, -1e4]
+        rng = np.random.default_rng(21)
+        s32 = np.concatenate([special, special,
+                              rng.normal(scale=4.0, size=4000)]).astype(
+                                  np.float32)
+        y = np.zeros(s32.shape, dtype=np.float32)
+        y[:len(special)] = 1.0
+        y[2 * len(special):] = rng.random(4000) < 0.3
+        param = Parameter(s32, "s")
+        with Tape() as tape:
+            fmap = ops.focal_loss_map(param, y, alpha, gamma, eps)
+            tape.backward(ops.weighted_sum(fmap, np.ones(s32.shape)))
+        assert fmap.dtype == np.float32 and param.grad.dtype == np.float32
+
+        s = s32.astype(np.float64)
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(-s))
+            q = 1.0 / (1.0 + np.exp(s))
+        lp, lq = np.log(p + eps), np.log(q + eps)
+        ref = (-alpha * y * q ** gamma * lp
+               - (1 - alpha) * (1 - y) * p ** gamma * lq)
+        dref = (alpha * y * (gamma * p * q ** gamma * lp
+                             - p * q ** (gamma + 1) / (p + eps))
+                + (1 - alpha) * (1 - y) * (p ** (gamma + 1) * q / (q + eps)
+                                           - gamma * q * p ** gamma * lq))
+        tol = 8 * np.finfo(np.float32).eps
+        for got, want in ((fmap.data, ref), (param.grad, dref)):
+            err = np.abs(got.astype(np.float64) - want)
+            big = np.abs(want) > 1e-6
+            assert np.all(err[big] <= tol * np.abs(want[big]))
+            assert np.all(err[~big] <= 2e-6)
+
     def test_finite_at_extreme_logits(self):
         cfg = LossConfig()
         logits = Tensor(np.array([[-1e4, 1e4]], dtype=np.float32).reshape(

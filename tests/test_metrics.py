@@ -126,6 +126,19 @@ class TestOtsu:
             img = random_probs(rng, (12, 12))
             assert otsu_threshold(img) == otsu_oracle(img), f"image {i}"
 
+    def test_values_on_bin_edges(self):
+        # k/256 opens bin k; 0.0 and 1.0 fall in the first and last bins
+        rng = np.random.default_rng(17)
+        edges = np.arange(257) / 256.0
+        for i in range(40):
+            img = rng.choice(edges[rng.integers(0, 257, size=3)],
+                             size=(9, 9))
+            img[0, 0], img[-1, -1] = 0.0, 1.0
+            assert otsu_threshold(img) == otsu_oracle(img), f"image {i}"
+        img = np.where(np.indices((4, 4)).sum(axis=0) % 2 == 0, 1.0,
+                       255 / 256)
+        assert otsu_threshold(img) == 0.5 == otsu_oracle(img)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             otsu_threshold(np.full((4, 4), 1.5))

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from etide.numerics import (ShapeError, Tape, Tensor, grad_check, ops,
                             op_suite_cases, run_op_suite)
@@ -365,6 +366,26 @@ class TestLayerNorm:
         assert np.allclose(out.mean(axis=1), 0.0, atol=1e-10)
         assert np.allclose(out.var(axis=1), 1.0, atol=1e-4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_bits_match_unfused_formula(self, dtype, record):
+        # in-place buffers must leave the forward arithmetic as it was
+        rng = np.random.default_rng(3)
+        x = rng.normal(1.0, 4.0, size=(2, 48, 9, 11)).astype(dtype)
+        g = rng.uniform(0.5, 1.5, size=48).astype(dtype)
+        b = rng.normal(size=48).astype(dtype)
+        mu = x.mean(axis=1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=1, keepdims=True)
+        want = (g[None, :, None, None] * (xc * (1.0 / np.sqrt(var + 1e-6)))
+                + b[None, :, None, None])
+        with Tape():
+            got = ops.layer_norm_channels(
+                Parameter(x, "x") if record else Tensor(x), Tensor(g),
+                Tensor(b))
+        assert got.requires_grad == record and got.dtype == dtype
+        assert got.data.tobytes() == want.tobytes()
+
 
 class TestActivations:
     def test_pointwise_values(self):
@@ -393,6 +414,19 @@ class TestActivations:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].tobytes(), want[~nan].tobytes())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_gelu_bits_match_unfused_formula(self, dtype, record):
+        x = np.concatenate([
+            np.linspace(-12.0, 12.0, 4801),
+            np.random.default_rng(1).normal(scale=3.0, size=4000),
+            [0.0, -0.0, 1e-30, -1e-30, 40.0, -40.0]]).astype(dtype)
+        want = x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+        with Tape():
+            got = ops.gelu(Parameter(x, "x") if record else Tensor(x))
+        assert got.requires_grad == record and got.dtype == dtype
+        assert got.data.tobytes() == want.tobytes()
 
     def test_sigmoid_extremes_stable(self):
         got = ops.sigmoid(Tensor(np.array([-500.0, 500.0]))).data
