@@ -744,7 +744,9 @@ def kl_div(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
     """sum p * log((p+eps)/(q+eps)); rows along the last axis are distributions.
 
     For stacked inputs this is the sum of per-row divergences; callers divide
-    by the row count to take means.
+    by the row count to take means. The tape keeps one derivative array per
+    input that needs a gradient, (lp - lq) + p/(p+eps) for p and
+    -p/(q+eps) for q, and no reference to an input that does not.
     """
     p, q = as_tensor(p), as_tensor(q)
     if p.shape != q.shape:
@@ -755,17 +757,25 @@ def kl_div(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
         sums = t.data.sum(axis=-1)
         if not np.allclose(sums, 1.0, atol=1e-4):
             raise ValueError(f"kl_div: {name} rows do not sum to 1")
-    lp = np.log(p.data + eps)
-    lq = np.log(q.data + eps)
-    val = np.asarray((p.data * (lp - lq)).sum(), dtype=p.dtype)
+    lr = np.add(p.data, eps)
+    np.log(lr, out=lr)
+    lq = np.add(q.data, eps)
+    lr -= np.log(lq, out=lq)               # lp - lq
+    del lq
+    val = np.asarray((p.data * lr).sum(), dtype=p.dtype)
     out, tape = _track(val, p, q)
     if tape is not None:
+        # each input's derivative without the factor out.grad
+        derivs = []
+        if p.requires_grad:
+            lr += p.data / (p.data + eps)
+            derivs.append((p, lr))
+        if q.requires_grad:
+            derivs.append((q, -p.data / (q.data + eps)))
+
         def backward():
-            g = out.grad
-            if p.requires_grad:
-                p.accumulate_grad(g * ((lp - lq) + p.data / (p.data + eps)))
-            if q.requires_grad:
-                q.accumulate_grad(g * (-p.data / (q.data + eps)))
+            for t, d in derivs:
+                t.accumulate_grad(out.grad * d)
         tape.record(out, backward)
     return out
 
@@ -857,9 +867,9 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     One e = exp(-|s|) gives sigmoid(t) and 1 - sigmoid(t) (the bits of
     `_sigmoid`), log sigmoid(t) = -(max(-t, 0) + log1p(e)), and
     log(sigmoid(t) + eps) = max(a, log eps) + log1p(exp(-|a - log eps|))
-    for a = log sigmoid(t), so saturated logits stay finite. The tape keeps
-    sigmoid(t), 1 - sigmoid(t), its gamma power, the log term and y; the
-    backward is dL/ds = sign(t/s) * dL/dt.
+    for a = log sigmoid(t), so saturated logits stay finite. Under a tape
+    the forward also computes dL/ds = sign(t/s) * dL/dt without the final
+    factor out.grad, and the tape keeps that one array.
     """
     logits = as_tensor(logits)
     y = np.asarray(targets)
@@ -902,24 +912,27 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     st /= e                                # sigmoid(t)
     sf /= e                                # 1 - sigmoid(t)
     sfg = np.power(sf, gamma, out=e)
-    data = np.multiply(yf, 1.0 - 2.0 * alpha)
+    data = np.empty_like(s)
+    recording = _recording(logits)
+    if recording:
+        # sf is needed only as sf/(st+eps); data is the scratch for st+eps
+        np.divide(sf, np.add(st, eps, out=data), out=sf)
+    np.multiply(yf, 1.0 - 2.0 * alpha, out=data)
     data += alpha - 1.0                    # -w
     data *= sfg
     data *= logt
-    data = data.reshape(logits.shape)
-    out, tape = _track(data, logits)
-    if tape is not None:
+    out, tape = _track(data.reshape(logits.shape), logits)
+    if recording:
+        # dL/dt = w*st*sfg*(gamma*logt - sf/(st+eps)); sign*w = y+alpha-1
+        d = np.multiply(logt, gamma, out=logt)
+        d -= sf
+        d *= st
+        d *= sfg
+        d *= np.add(yf, alpha - 1.0, out=sf)
+
         def backward():
-            # dL/dt = w*st*sfg*(gamma*logt - sf/(st+eps)); sign*w = y+alpha-1
-            g = np.add(st, eps)
-            np.divide(sf, g, out=g)
-            d = np.multiply(logt, gamma)
-            d -= g
-            d *= st
-            d *= sfg
-            np.add(yf, alpha - 1.0, out=g)
-            d *= g
-            d *= out.grad.reshape(-1)
+            # the tape is single-use, so d can take the product in place
+            np.multiply(d, out.grad.reshape(-1), out=d)
             logits.accumulate_grad(d.reshape(logits.shape))
         tape.record(out, backward)
     return out

@@ -4,6 +4,12 @@ The engine is define-by-run: while a Tape is active, every differentiable
 op appends one backward closure to it. Execution order is a topological
 order by construction, so Tape.backward simply walks the closures in
 reverse, accumulating gradients additively into Tensor.grad buffers.
+
+A tape is single-use. Backward pops each node as it runs it, so the
+closure and whatever it saved are freed at once, and it releases the
+node output's gradient (sets it to None) once the closure has consumed
+it. Only leaves, the Parameters and the tensors the caller created with
+requires_grad=True, keep their gradients; no op output ever is a leaf.
 """
 
 from __future__ import annotations
@@ -85,12 +91,17 @@ class Tape:
         with Tape() as tape:
             loss = total_loss(model.forward(x, training=True, rng=rng), y, cfg)
         tape.backward(loss)
+
+    Single-use: backward frees every node as it runs it and releases the
+    gradients of node outputs, so afterwards the tape is empty and only
+    leaf tensors hold gradients. A second backward raises ValueError.
     """
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "_consumed")
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[], None]]] = []
+        self._consumed = False
 
     def record(self, out: Tensor, backward_fn: Callable[[], None]) -> None:
         self._nodes.append((out, backward_fn))
@@ -107,14 +118,22 @@ class Tape:
         assert popped is self, "tapes must unwind in LIFO order"
 
     def backward(self, output: Tensor) -> None:
-        """Seed d(output)/d(output) = 1 and propagate in reverse order."""
+        """Seed d(output)/d(output) = 1 and propagate in reverse order,
+        popping each node and releasing its output's gradient once its
+        closure has run."""
+        if self._consumed:
+            raise ValueError("backward() already ran on this tape")
         if output.data.size != 1:
             raise ValueError(
                 f"backward() needs a scalar output, got shape {output.data.shape}")
+        self._consumed = True
         output.accumulate_grad(np.ones_like(output.data))
-        for out, fn in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            out, fn = nodes.pop()
             if out.grad is not None:
                 fn()
+                out.grad = None
 
 
 def active_tape() -> Optional[Tape]:

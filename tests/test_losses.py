@@ -2,12 +2,14 @@
 numpy oracles written here, independent of the library internals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from etide.losses import (LossConfig, ddr_loss, focal_elem, polarity_focal,
                           total_loss)
+from etide.model import ModelConfig, init_params
 from etide.numerics import Tape, Tensor, grad_check, ops
 from etide.numerics.tensor import Parameter
 
@@ -322,3 +324,151 @@ class TestTotalLoss:
         err = grad_check(lambda: total_loss(logits, targets, cfg),
                          [logits], eps=1e-4)
         assert err < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# what the loss ops save, bit for bit and in bytes
+# ---------------------------------------------------------------------------
+
+def focal_grad_reference(s, y, alpha, gamma, eps, g):
+    """dL/ds of focal_loss_map from the formulas its backward used when the
+    tape kept sigmoid(t), 1 - sigmoid(t), its gamma power and the log term:
+    the same numpy calls in the same order, for a byte-for-byte check."""
+    s, y, g = s.reshape(-1), y.reshape(-1), g.reshape(-1)
+    log_eps = math.log(eps)
+    buf = np.multiply(y, 2.0)
+    buf -= 1.0
+    t = np.multiply(s, buf)
+    st = np.greater_equal(t, 0.0, out=np.empty_like(s))
+    e = np.exp(-np.abs(s))
+    np.log1p(e, out=buf)
+    t = np.maximum(-t, 0.0) + buf
+    buf = np.log1p(np.exp(-np.abs(t + log_eps)))
+    logt = np.maximum(-t, log_eps) + buf
+    sf = 1.0 - st
+    st = np.maximum(e, st)
+    sf = np.maximum(e, sf)
+    e = e + 1.0
+    st /= e
+    sf /= e
+    sfg = np.power(sf, gamma)
+    d = np.multiply(logt, gamma)
+    d -= np.divide(sf, np.add(st, eps))
+    d *= st
+    d *= sfg
+    d *= np.add(y, alpha - 1.0)
+    d *= g
+    return d
+
+
+class TestLossOpsSavedState:
+    """The loss ops keep one derivative array under a tape; the gradients
+    keep the bits of the formulas they used before."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    def test_focal_grad_bits(self, dtype, gamma):
+        rng = np.random.default_rng(31)
+        special = [0.0, 1e-3, -1e-3, 20.0, -20.0, 88.0, -88.0, 1e4, -1e4]
+        s = np.concatenate([special, special, rng.normal(scale=4.0, size=526)])
+        s = s.astype(dtype).reshape(2, 1, 2, 8, 17)
+        y = (rng.random(s.shape) < 0.3).astype(dtype)
+        y.reshape(-1)[:len(special)] = 1.0
+        y.reshape(-1)[len(special):2 * len(special)] = 0.0
+        w = rng.uniform(0.5, 1.5, size=s.shape).astype(dtype)
+        logits = Parameter(s, "s", dtype=dtype)
+        with Tape() as tape:
+            fmap = ops.focal_loss_map(logits, y, 0.75, gamma, 1e-8)
+            tape.backward(ops.weighted_sum(fmap, w))
+        g = np.zeros(s.shape, dtype)
+        g += np.ones((), dtype) * w
+        want = np.zeros(s.shape, dtype)
+        want += focal_grad_reference(s, y, 0.75, gamma, 1e-8, g).reshape(
+            s.shape)
+        assert logits.grad.dtype == dtype
+        assert logits.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("q_grad", [False, True])
+    def test_kl_grad_bits(self, dtype, q_grad):
+        rng = np.random.default_rng(32)
+        eps = 1e-8
+
+        def rows():
+            e = np.exp(rng.normal(scale=3.0, size=(3, 40)))
+            return (e / e.sum(axis=-1, keepdims=True)).astype(dtype)
+        p = Tensor(rows(), requires_grad=True, dtype=dtype)
+        q = Tensor(rows(), requires_grad=q_grad, dtype=dtype)
+        with Tape() as tape:
+            tape.backward(ops.scale(ops.kl_div(p, q, eps=eps), 0.37))
+        g = np.zeros((), dtype)
+        g += np.ones((), dtype) * 0.37
+        lp = np.log(p.data + eps)
+        lq = np.log(q.data + eps)
+        want_p = np.zeros_like(p.data)
+        want_p += g * ((lp - lq) + p.data / (p.data + eps))
+        assert p.grad.tobytes() == want_p.tobytes()
+        if q_grad:
+            want_q = np.zeros_like(q.data)
+            want_q += g * (-p.data / (q.data + eps))
+            assert q.grad.tobytes() == want_q.tobytes()
+        else:
+            assert q.grad is None
+
+    def test_total_loss_live_bytes_bounded(self):
+        # under a tape the loss keeps three full-size arrays (the focal map,
+        # its derivative, the sigmoid) and three of (T-1)/T the size (the
+        # frame differences, their softmax, the KL derivative); the target
+        # softmax is not kept. A quarter of the logits covers the Python
+        # objects and numpy's cache of small blocks.
+        shape = (2, 4, 2, 32, 32)
+        rng = np.random.default_rng(33)
+        logits = Parameter(rng.normal(size=shape), "s", dtype=np.float32)
+        targets = (rng.random(shape) < 0.3).astype(np.float32)
+        t = shape[1]
+        bound = (3 + 3 * (t - 1) / t + 0.25) * logits.data.nbytes
+        with Tape():
+            total_loss(logits, targets, LossConfig())  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                loss = total_loss(logits, targets, LossConfig())
+                live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item())
+        assert live <= bound, (live, bound)
+
+    def test_nothing_but_param_grads_live_after_backward(self):
+        # a tiny model step: once backward has run, only the parameter
+        # gradients and the scalar loss remain, although the tape is still
+        # referenced; 32 KiB covers the Python objects and numpy's cache of
+        # small blocks (a tape that kept its nodes would hold 1.5 MiB here)
+        cfg = ModelConfig(t_in=3, t_out=3, height=32, width=32, c_step=2,
+                          n_blocks=1, enc_widths=(4,), dec_widths=(8, 4))
+        model = init_params(cfg, seed=0)
+        rng = np.random.default_rng(34)
+        x = (rng.random((2, 3, 2, 32, 32)) < 0.3).astype(np.float32)
+        y = (rng.random((2, 3, 2, 32, 32)) < 0.3).astype(np.float32)
+
+        def step():
+            model.zero_grad()
+            with Tape() as tape:
+                loss = total_loss(model.forward(Tensor(x), training=True,
+                                                rng=np.random.default_rng(1)),
+                                  y, LossConfig())
+                tape.backward(loss)
+            return tape, loss
+
+        step()  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tape, loss = step()
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item()) and len(tape) == 0
+        grad_bytes = sum(p.grad.nbytes for p in model.parameters())
+        assert live <= grad_bytes + 32 * 1024, (live, grad_bytes)

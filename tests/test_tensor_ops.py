@@ -5,6 +5,7 @@ nested loops and sorting, not from the library code under test.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -634,6 +635,72 @@ class TestGradients:
             y = ops.relu(x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
+
+
+class TestTapeRelease:
+    """Backward frees the tape as it runs; only leaves keep gradients.
+
+    The graph is loss = 1*r0 + 2*r1 with r = relu(h), h = x @ w^T; at
+    x = [2, 1], w = [[1, 2], [0.5, -3]] that is h = [4, -2], so
+    dL/dh = [1, 0], dL/dw = [[2, 1], [0, 0]] and dL/dx = w[0] = [1, 2].
+    """
+
+    @staticmethod
+    def _leaves():
+        w = Parameter(np.array([[1.0, 2.0], [0.5, -3.0]]), "w",
+                      dtype=np.float64)
+        x = Tensor(np.array([[2.0, 1.0]]), requires_grad=True,
+                   dtype=np.float64)
+        return w, x
+
+    @staticmethod
+    def _loss(w, x):
+        h = ops.linear(x, w)
+        r = ops.relu(h)
+        return h, r, ops.weighted_sum(r, np.array([[1.0, 2.0]]))
+
+    def test_backward_empties_the_tape(self):
+        w, x = self._leaves()
+        with Tape() as tape:
+            _, _, loss = self._loss(w, x)
+        assert len(tape) == 3
+        tape.backward(loss)
+        assert len(tape) == 0
+
+    def test_intermediate_arrays_freed(self):
+        w, x = self._leaves()
+        with Tape() as tape:
+            h = ops.linear(x, w)
+            h_data = weakref.ref(h.data)
+            loss = ops.weighted_sum(ops.relu(h), np.array([[1.0, 2.0]]))
+            del h
+        assert h_data() is not None
+        tape.backward(loss)
+        assert h_data() is None
+
+    def test_node_output_grads_released(self):
+        w, x = self._leaves()
+        with Tape() as tape:
+            h, r, loss = self._loss(w, x)
+        tape.backward(loss)
+        assert h.grad is None and r.grad is None and loss.grad is None
+
+    def test_leaf_grads_kept(self):
+        w, x = self._leaves()
+        with Tape() as tape:
+            _, _, loss = self._loss(w, x)
+        tape.backward(loss)
+        assert np.array_equal(w.grad, [[2.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(x.grad, [[1.0, 2.0]])
+
+    def test_second_backward_raises(self):
+        w, x = self._leaves()
+        with Tape() as tape:
+            _, _, loss = self._loss(w, x)
+        tape.backward(loss)
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(loss)
+        assert np.array_equal(x.grad, [[1.0, 2.0]])
 
 
 def test_run_op_suite_all_pass():

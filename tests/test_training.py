@@ -6,6 +6,7 @@ overfit-smoke, and resume-equivalence contracts.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,23 @@ class TestTrainLoop:
         assert [r["epoch"] for r in history] == [1, 2]
         assert all("train_loss" in r and "val_aiou" in r for r in history)
         assert all("baseline_aiou" in r for r in history)
+        assert all(r["grad_norm"] > 0 for r in history)
+
+    def test_grad_norm_record_of_one_step_epoch(self):
+        # one training sequence and no validation: the epoch is one step,
+        # so its mean gradient norm is that step's norm, recomputed here
+        from etide.losses import total_loss
+        cfg = tiny_train_cfg(epochs=1, val_split=0.0)
+        ds = tiny_dataset(1)
+        _, history = train(init_params(cfg.model, seed=4), ds, cfg)
+
+        model = init_params(cfg.model, seed=4)
+        x = ds.inputs[[0]].astype(np.float32)
+        y = ds.targets[[0]].astype(np.float32)
+        with Tape() as tape:
+            tape.backward(total_loss(model.forward(Tensor(x), training=True),
+                                     y, cfg.loss))
+        assert history[0]["grad_norm"] == grad_norm(model.parameters())
 
     def test_overfit_single_sample(self):
         cfg = tiny_train_cfg(epochs=50, batch_size=1, lr=3e-3, val_split=0.0,
@@ -408,6 +426,27 @@ class TestBenchmark:
         small = estimate_activation_bytes(tiny_model_cfg())
         large = estimate_activation_bytes(tiny_model_cfg(height=32, width=32))
         assert large > small
+
+    def test_memory_estimate_matches_recording_forward(self):
+        # the estimate counts what a recording forward keeps alive; at 32^2
+        # it lands within 10% of tracemalloc's live bytes after one
+        cfg = ModelConfig(t_in=4, t_out=4, height=32, width=32, c_step=4,
+                          n_blocks=2, enc_widths=(8,), dec_widths=(16, 8))
+        model = init_params(cfg, seed=0)
+        x = (np.random.default_rng(0).random((2, 4, 2, 32, 32)) < 0.2)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                logits = model.forward(Tensor(x.astype(np.float32)),
+                                       training=True, rng=rng)
+                live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (2, 4, 2, 32, 32)
+        est = estimate_activation_bytes(cfg, batch=2)
+        assert abs(est - live) <= 0.1 * live, (est, live)
 
     def test_median_stable(self):
         model = init_params(tiny_model_cfg(), seed=0)
