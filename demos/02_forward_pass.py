@@ -12,9 +12,10 @@ import numpy as np
 
 from etide.model import ModelConfig, count_params, init_params
 from etide.numerics import Tensor, ops
+from etide.util import config_to_text
 
 cfg = ModelConfig()
-print(cfg.to_text())
+print(config_to_text(cfg))
 model = init_params(cfg, seed=0)
 print(f"parameters: {count_params(model)}")
 

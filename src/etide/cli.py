@@ -22,10 +22,10 @@ from .metrics import binarize, format_record, format_table
 from .model import (CheckpointError, ModelConfig, init_params,
                     load_checkpoint, save_checkpoint)
 from .numerics import check_model_gradients, run_op_suite
-from .training import (AdamState, benchmark, load_dataset,
+from .training import (AdamState, TrainConfig, benchmark, load_dataset,
                        make_moving_bar_dataset, predict, rollout_eval,
-                       save_dataset, train, train_config_from_text)
-from .util import atomic_write_bytes
+                       save_dataset, train)
+from .util import atomic_write_bytes, config_from_text
 
 _GRID_TAUS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
@@ -84,7 +84,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = train_config_from_text(_read_text(args.config))
+    cfg = config_from_text(TrainConfig, _read_text(args.config))
     if not os.path.isdir(args.data):
         raise OSError(f"data directory not found: {args.data}")
     dataset = load_dataset(args.data)
@@ -169,7 +169,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = (ModelConfig.from_text(_read_text(args.config))
+    cfg = (config_from_text(ModelConfig, _read_text(args.config))
            if args.config else ModelConfig())
     model = init_params(cfg, seed=args.seed)
     out = benchmark(model, iters=args.iters)

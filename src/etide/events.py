@@ -9,10 +9,8 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,25 +29,12 @@ class FileFormatError(Exception):
     """Malformed or truncated EVT1/OCM1 payload."""
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    t: int
-    u: int
-    v: int
-    p: int
-
-    def __post_init__(self):
-        if self.p not in (-1, 1):
-            raise ValueError(f"polarity must be +1 or -1, got {self.p}")
-
-
 class EventStream:
     """Time-sorted event arrays bound to a sensor geometry."""
 
     __slots__ = ("width", "height", "t", "u", "v", "p")
 
-    def __init__(self, width: int, height: int, t, u, v, p,
-                 validate: bool = True):
+    def __init__(self, width: int, height: int, t, u, v, p):
         self.width = int(width)
         self.height = int(height)
         self.t = np.ascontiguousarray(t, dtype=np.uint64)
@@ -59,10 +44,6 @@ class EventStream:
         n = self.t.size
         if not (self.u.size == self.v.size == self.p.size == n):
             raise ValueError("event field arrays must have equal length")
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
         if self.t.size and np.any(self.t[1:] < self.t[:-1]):
             i = int(np.argmax(self.t[1:] < self.t[:-1])) + 1
             raise ValueError(f"event {i}: timestamps decrease")
@@ -71,20 +52,6 @@ class EventStream:
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(f"event {i}: polarity must be +1 or -1")
-
-    @classmethod
-    def from_records(cls, width: int, height: int,
-                     records: Sequence[EventRecord]) -> "EventStream":
-        t = np.array([r.t for r in records], dtype=np.uint64)
-        u = np.array([r.u for r in records], dtype=np.uint16)
-        v = np.array([r.v for r in records], dtype=np.uint16)
-        p = np.array([r.p for r in records], dtype=np.int8)
-        return cls(width, height, t, u, v, p)
-
-    def records(self) -> Iterator[EventRecord]:
-        for i in range(len(self)):
-            yield EventRecord(int(self.t[i]), int(self.u[i]),
-                              int(self.v[i]), int(self.p[i]))
 
     def __len__(self) -> int:
         return int(self.t.size)
@@ -169,62 +136,14 @@ def bin_events(stream: EventStream, t0: int, bin_duration: int,
     return OccurrenceTensor(frames, bin_duration, t0)
 
 
-def downsample_or(x: OccurrenceTensor, factor: int) -> OccurrenceTensor:
-    """OR-pool factor x factor blocks so occupancy survives downsampling."""
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    t, c, h, w = x.frames.shape
-    if h % factor or w % factor:
-        raise ValueError(
-            f"spatial dims {h}x{w} not divisible by factor {factor}")
-    blocks = x.frames.reshape(t, c, h // factor, factor, w // factor, factor)
-    pooled = blocks.max(axis=(3, 5))
-    return OccurrenceTensor(pooled, x.bin_duration, x.t0)
-
-
-def crop(x: OccurrenceTensor, top: int, left: int, h: int, w: int
-         ) -> OccurrenceTensor:
-    if top < 0 or left < 0 or h < 1 or w < 1 \
-            or top + h > x.height or left + w > x.width:
-        raise ValueError(
-            f"crop window (top={top}, left={left}, {h}x{w}) outside "
-            f"{x.height}x{x.width}")
-    return OccurrenceTensor(x.frames[:, :, top:top + h, left:left + w].copy(),
-                            x.bin_duration, x.t0)
-
-
-def sample_active_crop(x: OccurrenceTensor, h: int, w: int,
-                       rng: np.random.Generator, min_count: int = 1,
-                       max_tries: int = 32) -> tuple[OccurrenceTensor, int, int]:
-    """Random crop window retried until it holds >= min_count set cells.
-
-    Falls back to the densest window seen if no try reaches min_count.
-    """
-    best = None
-    best_count = -1
-    for _ in range(max_tries):
-        top = int(rng.integers(0, x.height - h + 1))
-        left = int(rng.integers(0, x.width - w + 1))
-        window = crop(x, top, left, h, w)
-        count = int(window.frames.sum())
-        if count >= min_count:
-            return window, top, left
-        if count > best_count:
-            best, best_count = (window, top, left), count
-    return best
-
-
 # ---------------------------------------------------------------------------
 # synthetic scenes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MovingObject:
-    """Axis-aligned rectangle with linear plus optional oscillating motion.
-
-    Position at step s is (x + vx*s [+ amp_x*sin(2*pi*(s/period + phase))],
-    same for y). period is in bins; period=0 disables the oscillation.
-    """
+    """Axis-aligned rectangle moving at constant velocity: its top-left
+    corner at step s is (x + vx*s, y + vy*s)."""
 
     x: float
     y: float
@@ -232,19 +151,9 @@ class MovingObject:
     height: int
     vx: float = 0.0
     vy: float = 0.0
-    amp_x: float = 0.0
-    amp_y: float = 0.0
-    period: float = 0.0
-    phase: float = 0.0
 
     def position(self, step: int) -> tuple[float, float]:
-        px = self.x + self.vx * step
-        py = self.y + self.vy * step
-        if self.period > 0:
-            arg = 2.0 * math.pi * (step / self.period + self.phase)
-            px += self.amp_x * math.sin(arg)
-            py += self.amp_y * math.sin(arg)
-        return px, py
+        return self.x + self.vx * step, self.y + self.vy * step
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .numerics import Parameter, Tensor, as_tensor, ops
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, config_from_text, config_to_text
 
 ETW_MAGIC = b"ETW1"
 ETW_VERSION = 1
@@ -56,8 +56,17 @@ class ModelConfig:
     use_multiplicative_residual: bool = True  # off: drop the (1 + U) factor
 
     def __post_init__(self):
-        if min(self.t_in, self.t_out, self.c_step, self.n_blocks) < 1:
-            raise ValueError("t_in, t_out, c_step, n_blocks must be >= 1")
+        object.__setattr__(self, "enc_widths", tuple(int(v) for v in self.enc_widths))
+        object.__setattr__(self, "dec_widths", tuple(int(v) for v in self.dec_widths))
+        for name in ("t_in", "t_out", "c_step", "n_blocks", "mix_dilation",
+                     "gate_reduction", "ffn_expansion", "stages"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("enc_widths", "dec_widths"):
+            value = getattr(self, name)
+            if min(value, default=1) < 1:
+                raise ValueError(f"{name} entries must be >= 1, got {value}")
         div = 2 ** self.stages
         if self.height % div or self.width % div:
             raise ValueError(
@@ -79,8 +88,6 @@ class ModelConfig:
             raise ValueError("droppath_rate must be in [0, 1)")
         if not 0.0 < self.mask_quantile <= 1.0:
             raise ValueError("mask_quantile must be in (0, 1]")
-        object.__setattr__(self, "enc_widths", tuple(int(v) for v in self.enc_widths))
-        object.__setattr__(self, "dec_widths", tuple(int(v) for v in self.dec_widths))
 
     @property
     def packed_channels(self) -> int:
@@ -94,50 +101,6 @@ class ModelConfig:
     def grid(self) -> tuple[int, int]:
         f = 2 ** self.stages
         return self.height // f, self.width // f
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(e) for e in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            if "=" not in raw:
-                raise ValueError(f"bad config line: {raw!r}")
-            key, val = raw.split("=", 1)
-            key, val = key.strip(), val.strip()
-            if key not in known:
-                raise ValueError(f"unknown config key: {key!r}")
-            kwargs[key] = _parse_field(known[key].type, val)
-        return cls(**kwargs)
-
-
-def _parse_field(type_name: str, val: str):
-    if type_name == "int":
-        return int(val)
-    if type_name == "float":
-        return float(val)
-    if type_name == "bool":
-        if val.lower() in ("true", "1", "yes"):
-            return True
-        if val.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean: {val!r}")
-    if type_name == "tuple":
-        return tuple(int(v) for v in val.split(",")) if val else ()
-    raise ValueError(f"unsupported config field type {type_name}")
 
 
 def pack_time(e: Tensor, t_in: int) -> Tensor:
@@ -366,7 +329,7 @@ def save_checkpoint(path, model: TideModel) -> None:
         for dim in p.shape:
             buf += struct.pack("<I", dim)
         buf += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-    cfg = model.config.to_text().encode("utf-8")
+    cfg = config_to_text(model.config).encode("utf-8")
     buf += struct.pack("<I", len(cfg)) + cfg
     atomic_write_bytes(path, bytes(buf))
 
@@ -407,7 +370,7 @@ def load_checkpoint(path, dtype=np.float32) -> TideModel:
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
 
     try:
-        config = ModelConfig.from_text(cfg_text)
+        config = config_from_text(ModelConfig, cfg_text)
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from exc
 

@@ -55,12 +55,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

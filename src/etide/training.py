@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,60 +65,6 @@ class TrainConfig:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.grad_clip < 0:
             raise ValueError(f"grad_clip must be >= 0, got {self.grad_clip}")
-
-
-_TRAIN_SCALARS = tuple(f.name for f in fields(TrainConfig)
-                       if f.name not in ("loss", "model"))
-
-
-def train_config_to_text(cfg: TrainConfig) -> str:
-    """Flat key=value lines; nested configs carry loss./model. prefixes."""
-    lines = []
-    for name in _TRAIN_SCALARS:
-        lines.append(f"{name}={getattr(cfg, name)}")
-    for f in fields(cfg.loss):
-        lines.append(f"loss.{f.name}={getattr(cfg.loss, f.name)}")
-    for key, value in (line.split("=", 1)
-                       for line in cfg.model.to_text().splitlines()):
-        lines.append(f"model.{key}={value}")
-    return "\n".join(lines) + "\n"
-
-
-def train_config_from_text(text: str) -> TrainConfig:
-    scalars, loss_kv, model_lines = {}, {}, []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key.startswith("model."):
-            model_lines.append(f"{key[len('model.'):]}={value}")
-        elif key.startswith("loss."):
-            loss_kv[key[len("loss."):]] = value
-        elif key in _TRAIN_SCALARS:
-            scalars[key] = value
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-
-    kwargs = {}
-    for name, value in scalars.items():
-        kind = int if name in ("epochs", "batch_size", "seed",
-                               "checkpoint_interval") else float
-        kwargs[name] = kind(value)
-    loss_fields = {f.name for f in fields(LossConfig)}
-    loss_kwargs = {}
-    for name, value in loss_kv.items():
-        if name not in loss_fields:
-            raise ValueError(f"unknown loss key {name!r}")
-        loss_kwargs[name] = float(value)
-    if loss_kwargs:
-        kwargs["loss"] = LossConfig(**loss_kwargs)
-    if model_lines:
-        kwargs["model"] = ModelConfig.from_text("\n".join(model_lines))
-    return TrainConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from etide.metrics import MetricAccumulator
 from etide.model import (ModelConfig, init_params, load_checkpoint,
                          save_checkpoint)
 from etide.training import (SequenceDataset, TrainConfig, load_dataset,
-                            make_moving_bar_dataset, predict, save_dataset,
-                            train_config_to_text)
+                            make_moving_bar_dataset, predict, save_dataset)
+from etide.util import config_to_text
 
 MODEL = dict(t_in=3, t_out=3, height=16, width=16, c_step=2, n_blocks=1,
              enc_widths=(4,), dec_widths=(8, 4), droppath_rate=0.0)
@@ -33,7 +33,7 @@ def write_train_config(path, **overrides):
     base = dict(epochs=1, batch_size=2, seed=0, val_split=0.25,
                 model=model_cfg(), loss=LossConfig(alpha_ddr=0.1))
     base.update(overrides)
-    path.write_text(train_config_to_text(TrainConfig(**base)))
+    path.write_text(config_to_text(TrainConfig(**base)))
     return path
 
 
@@ -325,7 +325,7 @@ class TestVerificationCommands:
 
     def test_bench_record_line(self, tmp_path, capsys):
         cfg_file = tmp_path / "model.cfg"
-        cfg_file.write_text(model_cfg().to_text())
+        cfg_file.write_text(config_to_text(model_cfg()))
         assert main(["bench", "--config", str(cfg_file),
                      "--iters", "3"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -333,6 +333,21 @@ class TestVerificationCommands:
         record = dict(kv.split("=") for kv in out[0].split())
         assert set(record) == {"median_ms", "p95_ms", "peak_bytes_estimate",
                                "n_params"}
+
+    @pytest.mark.parametrize("key,value", [
+        ("gate_reduction", "0"), ("ffn_expansion", "0"),
+        ("mix_dilation", "0"), ("stages", "0"), ("enc_widths", "0"),
+        ("dec_widths", "8,0"),
+    ])
+    def test_bench_rejects_values_below_one(self, tmp_path, capsys, key,
+                                            value):
+        lines = [line for line in config_to_text(model_cfg()).splitlines()
+                 if not line.startswith(key + "=")]
+        cfg_file = tmp_path / "model.cfg"
+        cfg_file.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
+        assert main(["bench", "--config", str(cfg_file),
+                     "--iters", "1"]) == 2
+        assert f"{key} " in capsys.readouterr().err
 
     def test_inspect_lists_params(self, tmp_path, capsys):
         path = tmp_path / "m.etw"
