@@ -17,10 +17,11 @@ for group, n in widths.items():
     print(f"  {group:8s} {n:8d}")
 print(f"  {'total':8s} {count_params(model):8d}")
 
-print(f"\nestimated activation footprint at batch 1: "
-      f"{estimate_activation_bytes(cfg) / 1e6:.0f} MB")
+print(f"\nestimated activations a recording (training) forward keeps at "
+      f"batch 1: {estimate_activation_bytes(cfg) / 1e6:.0f} MB")
 
 record = benchmark(model, iters=20, warmup=3, seed=0)
 print(f"\n{cfg.t_in}->{cfg.t_out} forward at {cfg.height}x{cfg.width}, "
       f"batch 1, single pass:")
-print(f"  median {record['median_ms']:.1f} ms, p95 {record['p95_ms']:.1f} ms")
+print(f"  median {record['median_ms']:.1f} ms, p95 {record['p95_ms']:.1f} ms, "
+      f"traced peak {record['traced_peak_bytes'] / 1e6:.1f} MB")

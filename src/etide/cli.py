@@ -174,7 +174,7 @@ def _cmd_bench(args) -> int:
     model = init_params(cfg, seed=args.seed)
     out = benchmark(model, iters=args.iters)
     print(f"median_ms={out['median_ms']:.3f} p95_ms={out['p95_ms']:.3f} "
-          f"peak_bytes_estimate={out['peak_bytes_estimate']} "
+          f"traced_peak_bytes={out['traced_peak_bytes']} "
           f"n_params={out['n_params']}")
     return 0
 

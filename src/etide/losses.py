@@ -31,6 +31,12 @@ class LossConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        # the range checks below let NaN through, and infinity through some
+        for name in ("gamma", "lambda_on", "lambda_off", "alpha_ddr", "tau",
+                     "eps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if self.gamma < 0.0:

@@ -129,6 +129,24 @@ def op_suite_cases() -> dict:
             ops.conv2d_depthwise(x, w, dilation=2, padding=2),
             np.random.default_rng(seed + 1))), [x, w]
 
+    def depthwise_mix2(seed):
+        # the model's dilated mixing conv, k7 d3 "same" padding 9, on an
+        # input wide enough that every tap sees data
+        rng = np.random.default_rng(seed)
+        x = _p(rng, (1, 2, 10, 11), "x")
+        w = _p(rng, (2, 1, 7, 7), "w")
+        return (lambda: _scalarize(
+            ops.conv2d_depthwise(x, w, dilation=3, padding=9),
+            np.random.default_rng(seed + 1))), [x, w]
+
+    def depthwise_wide_pad(seed):
+        # padding 5 > d(k-1) = 4: the input gradient crops g
+        rng = np.random.default_rng(seed)
+        x = _p(rng, (2, 3, 5, 6), "x")
+        w = _p(rng, (3, 1, 5, 5), "w")
+        return (lambda: _scalarize(ops.conv2d_depthwise(x, w, padding=5),
+                                   np.random.default_rng(seed + 1))), [x, w]
+
     def pointwise(seed):
         rng = np.random.default_rng(seed)
         x = _p(rng, (2, 5, 4, 4), "x")
@@ -274,6 +292,8 @@ def op_suite_cases() -> dict:
         "conv2d_stride2_im2col": conv2d_s2_im2col,
         "conv2d_depthwise": depthwise,
         "conv2d_depthwise_dilated": depthwise_dilated,
+        "conv2d_depthwise_k7_d3": depthwise_mix2,
+        "conv2d_depthwise_k5_pad5": depthwise_wide_pad,
         "conv2d_pointwise": pointwise,
         "linear": linear_,
         "layer_norm_channels": layer_norm,

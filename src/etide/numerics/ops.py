@@ -19,8 +19,10 @@ tensordot per tap before:
   sub-pixel stride-1 convs on the low-resolution input with summed taps,
   2.25x fewer multiply-adds at k=3 (dec1 including its upsample:
   108 -> 16 ms; dec0: 21 -> 9.5 ms);
-* depthwise: an elementwise tap loop; a flat-window variant measured
-  8-9 against 7 ms at the dilated k=7.
+* depthwise: one einsum over a read-only strided view of every tap
+  window, bit-identical to the tap loop before (full-config k5:
+  2.2-3.0 -> 0.6-0.9 ms, dilated k7: 4.1-5.2 -> 1.5 ms); its backward is
+  one more einsum for dw and the same kernel on the gradient for dx.
 
 Backward passes rebuild padded inputs and columns from the saved input
 instead of keeping them on the tape.
@@ -40,6 +42,7 @@ import math
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import erf
 
 from .tensor import Tensor, active_tape, as_tensor
@@ -502,33 +505,82 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return _conv_op("conv2d", x, weight, bias, data, grads)
 
 
-def _depthwise_grads(g, xd, wd, stride, dilation, padding, need_dx, need_dw):
+# Depthwise taps as one einsum. The input is transposed and zero-padded to
+# [B, C, Wp, Hp]; copy i of its rows i*d .. i*d + h_out - 1 goes on a tap
+# axis, flattened to [B, C, k, Wp*h_out]. With output pixels numbered
+# column-major, n = col*h_out + row, tap (i, j) of pixel n is entry
+# n + j*d*h_out of copy i, so one strided view [B, C, k, k, w_out*h_out]
+# holds every tap window. Its strides fall i > j > n, so einsum's inner
+# loop runs over the long n axis and adds each pixel's taps in the order
+# (i, j) of a tap loop, each product rounded before its add. At h_out = 1
+# and d = 1 the j and n strides tie, and einsum may pick another order.
+
+def _depthwise_windows(x: np.ndarray, k: int, dilation: int,
+                       padding: int) -> tuple[np.ndarray, int, int]:
+    """(read-only tap windows [B, C, k, k, w_out*h_out], h_out, w_out) of
+    x[B, C, H, W] for a k x k depthwise correlation; padding < 0 crops."""
+    if padding < 0:
+        x = x[:, :, -padding:padding, -padding:padding]
+        padding = 0
+    b_, c, h, w = x.shape
+    h_out, w_out = _conv_geometry(h, w, k, 1, padding, dilation)
+    xp = np.zeros((b_, c, w + 2 * padding, h + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + w, padding:padding + h] = x.transpose(0, 1, 3, 2)
+    rows = sliding_window_view(xp, h_out, axis=3)[:, :, :, ::dilation]
+    taps = np.ascontiguousarray(rows.transpose(0, 1, 3, 2, 4))
+    taps = taps.reshape(b_, c, k, -1)
+    sb, sc, si, sn = taps.strides
+    view = as_strided(taps, (b_, c, k, k, w_out * h_out),
+                      (sb, sc, si, dilation * h_out * sn, sn), writeable=False)
+    return view, h_out, w_out
+
+
+def _depthwise(x: np.ndarray, wk: np.ndarray, dilation: int,
+               padding: int) -> np.ndarray:
+    """Depthwise correlation of x[B, C, H, W] with wk[C, k, k]."""
+    view, h_out, w_out = _depthwise_windows(x, wk.shape[-1], dilation, padding)
+    out = np.einsum('bcijn,cij->bcn', view, wk)
+    return out.reshape(*x.shape[:2], w_out, h_out).transpose(0, 1, 3, 2)
+
+
+def _depthwise_grads(g, xd, wd, dilation, padding, need_dx, need_dw):
     k = wd.shape[2]
-    h_out, w_out = g.shape[2:]
-    xp = _pad2d(xd, padding)
-    dw = np.zeros_like(wd) if need_dw else None
-    gxp = np.zeros_like(xp) if need_dx else None
-    for i in range(k):
-        for j in range(k):
-            xs = _tap(xp, i * dilation, j * dilation, stride, h_out, w_out)
-            if need_dw:
-                dw[:, 0, i, j] = np.einsum('bchw,bchw->c', g, xs,
-                                           optimize=True)
-            if need_dx:
-                _tap(gxp, i * dilation, j * dilation, stride, h_out,
-                     w_out)[...] += g * wd[None, :, 0, i, j, None, None]
-    return (_unpad2d(gxp, padding) if need_dx else None), dw
+    dx = dw = None
+    if need_dw:
+        view = _depthwise_windows(xd, k, dilation, padding)[0]
+        gt = np.ascontiguousarray(g.transpose(0, 1, 3, 2))
+        dw = np.einsum('bcn,bcijn->cij', gt.reshape(*g.shape[:2], -1),
+                       view)[:, None]
+    if need_dx:
+        # the forward kernel on g with the kernel flipped: full padding
+        # d(k-1) less the forward's, a crop when the forward padded more
+        dx = _depthwise(g, wd[:, 0, ::-1, ::-1], dilation,
+                        dilation * (k - 1) - padding)
+    return dx, dw
 
 
-def conv2d_depthwise(x: Tensor, weight: Tensor, stride: int = 1,
-                     dilation: int = 1, padding: Optional[int] = None) -> Tensor:
+def conv2d_depthwise(x: Tensor, weight: Tensor, dilation: int = 1,
+                     padding: Optional[int] = None) -> Tensor:
     """Per-channel convolution: weight[C,1,k,k], channel c only sees channel c.
 
-    An elementwise tap loop: there is no channel sum for a GEMM to do, and a
-    flat-window variant measured slower at the dilated k=7.
+    Stride 1. The forward is einsum('bcijn,cij->bcn') over the tap windows
+    of _depthwise_windows, with the bytes of a tap loop that adds
+    x_tap * w[c, i, j] for i, then j; a numpy build whose einsum kernels
+    fused multiply-add would change them, which the depthwise tests in
+    tests/test_tensor_ops.py would catch. dw is einsum('bcn,bcijn->cij')
+    over the same windows; dx is the forward kernel on the output gradient
+    with the kernel flipped and padding d(k-1) - padding (a crop when
+    negative).
+
+    Medians of 15-21 float32 calls on a 2-vCPU VM, two runs, against the
+    tap loops before: at the full-config [1, 80, 32, 32], forward k5 d1
+    2.2-3.0 -> 0.6-0.9 ms and k7 d3 4.1-5.2 -> 1.5 ms; at the
+    learning-check [4, 40, 32, 32], forward k5 d1 4.0-5.3 -> 1.2-1.7 ms
+    and k7 d3 11-14 -> 2.4-3.1 ms, dw 4.6-5.6 -> 1.4-1.5 ms and
+    9.2-9.9 -> 3.1 ms, dx 4.9-5.4 -> 1.3-1.5 ms and 11-14 -> 2.6-2.7 ms.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    b_, c, h, w = x.shape
+    c = x.shape[1]
     cw, one, k, k2 = weight.shape
     if k != k2 or k % 2 == 0:
         raise ShapeError(f"conv2d_depthwise: kernel must be odd square, got {k}x{k2}")
@@ -541,18 +593,13 @@ def conv2d_depthwise(x: Tensor, weight: Tensor, stride: int = 1,
         raise ShapeError(f"conv2d_depthwise: dilation must be >= 1, got {dilation}")
     if padding is None:
         padding = dilation * (k - 1) // 2
-    h_out, w_out = _conv_geometry(h, w, k, stride, padding, dilation)
-
-    xp = _pad2d(x.data, padding)
-    data = np.zeros((b_, c, h_out, w_out), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            xs = _tap(xp, i * dilation, j * dilation, stride, h_out, w_out)
-            data += xs * weight.data[None, :, 0, i, j, None, None]
+    if padding < 0:
+        raise ShapeError(f"conv2d_depthwise: padding must be >= 0, got {padding}")
+    data = _depthwise(x.data, weight.data[:, 0], dilation, padding)
 
     def grads(g, need_dx, need_dw):
-        return _depthwise_grads(g, x.data, weight.data, stride, dilation,
-                                padding, need_dx, need_dw)
+        return _depthwise_grads(g, x.data, weight.data, dilation, padding,
+                                need_dx, need_dw)
     return _conv_op("conv2d_depthwise", x, weight, None, data, grads)
 
 

@@ -10,8 +10,10 @@ moving-bar task used for desk-scale learning checks.
 from __future__ import annotations
 
 import io
+import math
 import os
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,11 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        # the range checks below let NaN through, and infinity through some
+        for name in ("lr", "beta1", "beta2", "eps", "val_split", "grad_clip"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -458,7 +465,10 @@ def estimate_activation_bytes(cfg: ModelConfig, batch: int = 1,
 
 def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
               seed: int = 0) -> dict:
-    """Median/p95 forward latency at batch 1 plus the memory estimate."""
+    """Median/p95 latency of an eval-mode forward at batch 1, and the
+    tracemalloc peak of one more such forward above the bytes held before
+    it (traced_peak_bytes; run after the timed calls, which it would slow).
+    """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     cfg = model.config
@@ -472,9 +482,16 @@ def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
         t0 = time.perf_counter()
         model.forward(x, training=False)
         times[i] = (time.perf_counter() - t0) * 1e3
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.forward(x, training=False)
+        traced_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
     return {
         "median_ms": float(np.median(times)),
         "p95_ms": float(np.percentile(times, 95)),
-        "peak_bytes_estimate": estimate_activation_bytes(cfg),
+        "traced_peak_bytes": traced_peak,
         "n_params": sum(p.data.size for p in model.parameters()),
     }

@@ -194,6 +194,24 @@ class TestTrain:
             checkpoints.append(out.read_bytes())
         assert checkpoints[0] == checkpoints[1]
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", "nan"), ("lr", "inf"), ("eps", "inf"), ("grad_clip", "nan"),
+        ("grad_clip", "inf"), ("beta1", "nan"), ("beta2", "-inf"),
+        ("val_split", "nan"), ("loss.gamma", "inf"), ("loss.tau", "nan"),
+    ])
+    def test_nonfinite_config_value_exits_2(self, tmp_path, capsys, key,
+                                            value):
+        # rejected at config load, before the (missing) data directory
+        text = write_train_config(tmp_path / "cfg.txt").read_text()
+        lines = [f"{key}={value}" if line.startswith(key + "=") else line
+                 for line in text.splitlines()]
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(tmp_path / "nope"), "--config",
+                     str(cfg), "--out", str(tmp_path / "m.etw")]) == 2
+        name = key.split(".")[-1]
+        assert f"{name} must be finite" in capsys.readouterr().err
+
     def test_resume_config_mismatch(self, tmp_path):
         data = tmp_path / "data"
         assert main(synth_args(data, 2)) == 0
@@ -331,7 +349,7 @@ class TestVerificationCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1
         record = dict(kv.split("=") for kv in out[0].split())
-        assert set(record) == {"median_ms", "p95_ms", "peak_bytes_estimate",
+        assert set(record) == {"median_ms", "p95_ms", "traced_peak_bytes",
                                "n_params"}
 
     @pytest.mark.parametrize("key,value", [

@@ -73,6 +73,41 @@ def tap_loop_reference(x, w, b=None, stride=1, padding=0):
     return out
 
 
+def depthwise_tap_loop(x, w, dilation, padding):
+    """The tap loop the depthwise kernel replaced, in x's dtype: the
+    forward is compared with it byte for byte."""
+    k = w.shape[2]
+    span = dilation * (k - 1)
+    h_out = x.shape[2] + 2 * padding - span
+    w_out = x.shape[3] + 2 * padding - span
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((*x.shape[:2], h_out, w_out), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            out += (xp[:, :, i * dilation:i * dilation + h_out,
+                       j * dilation:j * dilation + w_out]
+                    * w[None, :, 0, i, j, None, None])
+    return out
+
+
+def depthwise_grads_oracle(g, x, w, dilation, padding):
+    """(dx, dw) of the tap loop, each tap's adjoint summed in float64."""
+    g, x, w = (np.asarray(a, dtype=np.float64) for a in (g, x, w))
+    k = w.shape[2]
+    h_out, w_out = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(k):
+        for j in range(k):
+            rows = slice(i * dilation, i * dilation + h_out)
+            cols = slice(j * dilation, j * dilation + w_out)
+            dw[:, 0, i, j] = (g * xp[:, :, rows, cols]).sum(axis=(0, 2, 3))
+            gxp[:, :, rows, cols] += g * w[None, :, 0, i, j, None, None]
+    h, wd = x.shape[2:]
+    return gxp[:, :, padding:padding + h, padding:padding + wd], dw
+
+
 def upsample_oracle(x):
     return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
@@ -300,6 +335,74 @@ class TestDepthwise:
                                    Tensor(w, dtype=np.float64),
                                    dilation=dilation, padding=pad).data
         assert np.allclose(got, expected, atol=1e-10)
+
+    # (shape, k, dilation, padding): the model's two mixing convs at the
+    # full-config and learning-check shapes, then H != W, no padding,
+    # k=3 d=2, and padding past d(k-1), where the backward crops g
+    GEOMETRIES = [
+        ((1, 80, 32, 32), 5, 1, 2), ((1, 80, 32, 32), 7, 3, 9),
+        ((4, 40, 32, 32), 5, 1, 2), ((4, 40, 32, 32), 7, 3, 9),
+        ((2, 3, 9, 14), 5, 1, 2), ((2, 3, 9, 14), 3, 1, 0),
+        ((2, 3, 10, 7), 3, 2, 2), ((2, 3, 6, 5), 3, 1, 3),
+        ((1, 2, 8, 6), 3, 2, 5),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,k,dilation,padding", GEOMETRIES)
+    def test_forward_bytes_match_tap_loop(self, shape, k, dilation, padding,
+                                          dtype):
+        # one einsum over the tap windows adds each pixel's taps in the tap
+        # loop's order with each product rounded first; einsum kernels that
+        # fused multiply-add would fail here
+        rng = np.random.default_rng(k + dilation + padding + shape[1])
+        x = rng.normal(size=shape).astype(dtype)
+        w = rng.normal(size=(shape[1], 1, k, k)).astype(dtype)
+        got = ops.conv2d_depthwise(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype),
+                                   dilation=dilation, padding=padding).data
+        ref = depthwise_tap_loop(x, w, dilation, padding)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    # float32 sums of up to 4096 products land within 1e-5 of the largest
+    # float64 oracle entry (measured: under 5e-7); float64 within 1e-12
+    @pytest.mark.parametrize("dtype,bound", [(np.float32, 1e-5),
+                                             (np.float64, 1e-12)])
+    @pytest.mark.parametrize("shape,k,dilation,padding", GEOMETRIES)
+    def test_grads_match_float64_oracle(self, shape, k, dilation, padding,
+                                        dtype, bound):
+        rng = np.random.default_rng(k * dilation + padding)
+        x = Parameter(rng.normal(size=shape), "x", dtype=dtype)
+        w = Parameter(rng.normal(size=(shape[1], 1, k, k)), "w", dtype=dtype)
+        with Tape() as tape:
+            out = ops.conv2d_depthwise(x, w, dilation=dilation,
+                                       padding=padding)
+            g = rng.normal(size=out.shape).astype(dtype)
+            tape.backward(ops.weighted_sum(out, g))
+        dx, dw = depthwise_grads_oracle(g, x.data, w.data, dilation, padding)
+        for got, ref in ((x.grad, dx), (w.grad, dw)):
+            assert got.dtype == dtype and got.shape == ref.shape
+            err = np.abs(got - ref).max()
+            assert err <= bound * np.abs(ref).max(), err
+
+    def test_tap_windows_read_only(self):
+        x = np.arange(2 * 3 * 5 * 4, dtype=np.float64).reshape(2, 3, 5, 4)
+        view, h_out, w_out = ops._depthwise_windows(x, 3, 2, 1)
+        assert (h_out, w_out) == (3, 2)
+        # tap (i, j) of output pixel (y, x) sits at n = x*h_out + y
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for i in range(3):
+            for j in range(3):
+                tap = xp[:, :, 2 * i:2 * i + h_out, 2 * j:2 * j + w_out]
+                assert np.array_equal(
+                    view[:, :, i, j].reshape(2, 3, w_out, h_out),
+                    tap.transpose(0, 1, 3, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0, 0, 0] = 1.0
+
+    def test_rejects_negative_padding(self):
+        with pytest.raises(ShapeError, match="padding"):
+            ops.conv2d_depthwise(Tensor(np.zeros((1, 2, 6, 6))),
+                                 Tensor(np.zeros((2, 1, 3, 3))), padding=-1)
 
 
 class TestPointwise:
