@@ -36,10 +36,8 @@ print(f"probabilities in [{probs.min():.3f}, {probs.max():.3f}], "
 # give each location a 23x23 mixing footprint; check it on an impulse
 imp = np.zeros((1, 1, 33, 33))
 imp[0, 0, 16, 16] = 1.0
-h = ops.conv2d_depthwise(Tensor(imp), Tensor(np.ones((1, 1, 5, 5))),
-                         padding=2)
-h = ops.conv2d_depthwise(h, Tensor(np.ones((1, 1, 7, 7))), dilation=3,
-                         padding=9)
+h = ops.conv2d(Tensor(imp), Tensor(np.ones((1, 1, 5, 5))), padding=2)
+h = ops.conv2d(h, Tensor(np.ones((1, 1, 7, 7))), dilation=3, padding=9)
 nz = h.data[0, 0] != 0
 ys, xs = np.nonzero(nz)
 print(f"impulse footprint: {ys.max() - ys.min() + 1}x"

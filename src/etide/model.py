@@ -189,12 +189,10 @@ class TideModel:
         """
         cfg = self.config
         p = f"blk{block}"
-        a = ops.conv2d_depthwise(un, self[f"{p}.dw1.w"],
-                                 padding=(cfg.k_mix1 - 1) // 2)
-        a = ops.conv2d_depthwise(a, self[f"{p}.dw2.w"],
-                                 dilation=cfg.mix_dilation,
-                                 padding=cfg.mix_dilation * (cfg.k_mix2 - 1) // 2)
-        mixed = ops.conv2d_pointwise(a, self[f"{p}.pw.w"], self[f"{p}.pw.b"])
+        a = ops.conv2d(un, self[f"{p}.dw1.w"], padding=(cfg.k_mix1 - 1) // 2)
+        a = ops.conv2d(a, self[f"{p}.dw2.w"], dilation=cfg.mix_dilation,
+                       padding=cfg.mix_dilation * (cfg.k_mix2 - 1) // 2)
+        mixed = ops.conv2d(a, self[f"{p}.pw.w"], self[f"{p}.pw.b"])
 
         if cfg.use_activity_mask:
             activity = np.abs(un.data).mean(axis=1, keepdims=True)
@@ -225,9 +223,9 @@ class TideModel:
         u = ops.add(u, branch)
 
         un2 = ops.layer_norm_channels(u, self[f"{p}.ln2.g"], self[f"{p}.ln2.b"])
-        f = ops.conv2d_pointwise(un2, self[f"{p}.ffn1.w"], self[f"{p}.ffn1.b"])
+        f = ops.conv2d(un2, self[f"{p}.ffn1.w"], self[f"{p}.ffn1.b"])
         f = ops.gelu(f)
-        f = ops.conv2d_pointwise(f, self[f"{p}.ffn2.w"], self[f"{p}.ffn2.b"])
+        f = ops.conv2d(f, self[f"{p}.ffn2.w"], self[f"{p}.ffn2.b"])
         return ops.add(u, ops.drop_path(f, rate, training, rng))
 
     def decode(self, z: Tensor) -> Tensor:
@@ -240,7 +238,7 @@ class TideModel:
             h = ops.layer_norm_channels(h, self[f"dec{j}.ln.g"],
                                         self[f"dec{j}.ln.b"])
             h = ops.gelu(h)
-        logits = ops.conv2d_pointwise(h, self["head.w"], self["head.b"])
+        logits = ops.conv2d(h, self["head.w"], self["head.b"])
         b = z.shape[0]
         return ops.reshape(logits, (b, cfg.t_out, 2, cfg.height, cfg.width))
 

@@ -118,7 +118,7 @@ def op_suite_cases() -> dict:
         rng = np.random.default_rng(seed)
         x = _p(rng, (2, 4, 6, 6), "x")
         w = _p(rng, (4, 1, 5, 5), "w")
-        return (lambda: _scalarize(ops.conv2d_depthwise(x, w, padding=2),
+        return (lambda: _scalarize(ops.conv2d(x, w, padding=2),
                                    np.random.default_rng(seed + 1))), [x, w]
 
     def depthwise_dilated(seed):
@@ -126,7 +126,7 @@ def op_suite_cases() -> dict:
         x = _p(rng, (2, 3, 9, 9), "x")
         w = _p(rng, (3, 1, 3, 3), "w")
         return (lambda: _scalarize(
-            ops.conv2d_depthwise(x, w, dilation=2, padding=2),
+            ops.conv2d(x, w, dilation=2, padding=2),
             np.random.default_rng(seed + 1))), [x, w]
 
     def depthwise_mix2(seed):
@@ -136,7 +136,7 @@ def op_suite_cases() -> dict:
         x = _p(rng, (1, 2, 10, 11), "x")
         w = _p(rng, (2, 1, 7, 7), "w")
         return (lambda: _scalarize(
-            ops.conv2d_depthwise(x, w, dilation=3, padding=9),
+            ops.conv2d(x, w, dilation=3, padding=9),
             np.random.default_rng(seed + 1))), [x, w]
 
     def depthwise_wide_pad(seed):
@@ -144,7 +144,7 @@ def op_suite_cases() -> dict:
         rng = np.random.default_rng(seed)
         x = _p(rng, (2, 3, 5, 6), "x")
         w = _p(rng, (3, 1, 5, 5), "w")
-        return (lambda: _scalarize(ops.conv2d_depthwise(x, w, padding=5),
+        return (lambda: _scalarize(ops.conv2d(x, w, padding=5),
                                    np.random.default_rng(seed + 1))), [x, w]
 
     def pointwise(seed):
@@ -152,7 +152,7 @@ def op_suite_cases() -> dict:
         x = _p(rng, (2, 5, 4, 4), "x")
         w = _p(rng, (3, 5, 1, 1), "w")
         b = _p(rng, (3,), "b")
-        return (lambda: _scalarize(ops.conv2d_pointwise(x, w, b),
+        return (lambda: _scalarize(ops.conv2d(x, w, b),
                                    np.random.default_rng(seed + 1))), [x, w, b]
 
     def linear_(seed):
@@ -227,12 +227,6 @@ def op_suite_cases() -> dict:
         return (lambda: _scalarize(ops.gated_product(g, f),
                                    np.random.default_rng(seed + 1))), [g, f]
 
-    def upsample(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 3, 3, 4), "x")
-        return (lambda: _scalarize(ops.upsample_nearest2(x),
-                                   np.random.default_rng(seed + 1))), [x]
-
     def framediff(seed):
         rng = np.random.default_rng(seed)
         x = _p(rng, (2, 5, 3, 3), "x")
@@ -305,7 +299,6 @@ def op_suite_cases() -> dict:
         "masked_mean_pool": masked_pool,
         "gated_product": gated,
         "gated_product_no_base": gated_no_base,
-        "upsample_nearest2": upsample,
         "upsample2_conv2d": upsample_conv,
         "frame_diff": framediff,
         "add_scale_reshape": arithmetic_chain,

@@ -4,25 +4,27 @@ Every op computes its forward result eagerly with numpy and, when a tape
 is active and some input tracks gradients, registers a closure that pulls
 the output gradient and accumulates into the inputs.
 
-Convolutions pick their kernel from the shape. Forward times are medians
-of 15 calls at the full-config forecast shapes on a 2-vCPU VM, against one
-tensordot per tap before:
+One convolution op, conv2d, picks its kernel from the weight's shape.
+Forward times are medians of 15 calls at the full-config forecast shapes on
+a 2-vCPU VM, against one tensordot per tap before:
 
-* conv2d and conv2d_pointwise: one GEMM per tap straight on a window of
-  the flattened padded input, no copy per tap (dec1's conv, 160 -> 48
-  channels at 128^2: 89 -> 40 ms); a strided conv first splits the input
-  into its stride phases (enc1, 32 -> 8 channels at stride 2: 12.3 ->
-  4.8 ms, and 38.5 -> 16.7 ms in backward);
-* strided conv2d with cout > 4*cin: im2col, one GEMM with K = cin*k^2
-  (enc0, 2 -> 32 channels: 19.5 -> 5 ms);
-* nearest 2x upsample followed by a "same" conv (upsample2_conv2d): four
-  sub-pixel stride-1 convs on the low-resolution input with summed taps,
-  2.25x fewer multiply-adds at k=3 (dec1 including its upsample:
-  108 -> 16 ms; dec0: 21 -> 9.5 ms);
-* depthwise: one einsum over a read-only strided view of every tap
-  window, bit-identical to the tap loop before (full-config k5:
-  2.2-3.0 -> 0.6-0.9 ms, dilated k7: 4.1-5.2 -> 1.5 ms); its backward is
-  one more einsum for dw and the same kernel on the gradient for dx.
+* [Cout, Cin, k, k], 1x1 projections included: one GEMM per tap straight
+  on a window of the flattened padded input, no copy per tap (dec1's
+  conv, 160 -> 48 channels at 128^2: 89 -> 40 ms); a strided conv first
+  splits the input into its stride phases (enc1, 32 -> 8 channels at
+  stride 2: 12.3 -> 4.8 ms, and 38.5 -> 16.7 ms in backward);
+* [Cout, Cin, k, k] at stride > 1 with Cout > 4*Cin: im2col, one GEMM
+  with K = Cin*k^2 (enc0, 2 -> 32 channels: 19.5 -> 5 ms);
+* [C, 1, k, k], depthwise at stride 1 and any dilation: one einsum over
+  a read-only strided view of every tap window, bit-identical to the tap
+  loop before (full-config k5: 2.2-3.0 -> 0.6-0.9 ms, dilated k7:
+  4.1-5.2 -> 1.5 ms); its backward is one more einsum for dw and the
+  same kernel on the gradient for dx.
+
+upsample2_conv2d, a nearest-2x upsample followed by a "same" conv, runs
+four sub-pixel stride-1 convs on the low-resolution input with summed
+taps, 2.25x fewer multiply-adds at k=3 (dec1 including its upsample:
+108 -> 16 ms; dec0: 21 -> 9.5 ms).
 
 Backward passes rebuild padded inputs and columns from the saved input
 instead of keeping them on the tape.
@@ -39,6 +41,7 @@ for training and float64 for finite-difference checking.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -204,6 +207,9 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if x.shape[1] != weight.shape[1]:
         raise ShapeError(
             f"linear: input dim {x.shape[1]} != weight dim {weight.shape[1]}")
+    if bias is not None and bias.shape != weight.shape[:1]:
+        raise ShapeError(f"linear: bias shape {bias.shape} != out dim "
+                         f"({weight.shape[0]},)")
     data = x.data @ weight.data.T
     if bias is not None:
         data = data + bias.data
@@ -255,8 +261,8 @@ def _conv_op(name: str, x: Tensor, weight: Tensor, bias: Optional[Tensor],
              data: np.ndarray, grads) -> Tensor:
     """Add the bias to a convolution result and record its backward.
 
-    grads(g, need_dx, need_dw) -> (dx, dw) recomputes whatever buffers it
-    needs from x.data and weight.data, so the tape holds no padded copies.
+    grads(g, xd, wd, need_dx=, need_dw=) -> (dx, dw) recomputes its buffers
+    from x.data and weight.data, so the tape holds no padded copies.
     """
     if bias is not None:
         cout = weight.shape[0]
@@ -271,7 +277,8 @@ def _conv_op(name: str, x: Tensor, weight: Tensor, bias: Optional[Tensor],
             g = out.grad
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            dx, dw = grads(g, x.requires_grad, weight.requires_grad)
+            dx, dw = grads(g, x.data, weight.data, need_dx=x.requires_grad,
+                           need_dw=weight.requires_grad)
             if dw is not None:
                 weight.accumulate_grad(dw)
             if dx is not None:
@@ -442,8 +449,9 @@ def _im2col(xd, k, stride, padding, h_out, w_out) -> np.ndarray:
     return cols.reshape(b_, cin * k * k, h_out * w_out)
 
 
-def _im2col_conv(xd, wd, stride, padding, h_out, w_out) -> np.ndarray:
+def _im2col_conv(xd, wd, stride, padding) -> np.ndarray:
     cout, _, k, _ = wd.shape
+    h_out, w_out = _conv_geometry(*xd.shape[2:], k, stride, padding)
     cols = _im2col(xd, k, stride, padding, h_out, w_out)
     out = np.matmul(wd.reshape(cout, -1), cols)
     return out.reshape(xd.shape[0], cout, h_out, w_out)
@@ -468,41 +476,6 @@ def _im2col_conv_grads(g, xd, wd, stride, padding, need_dx, need_dw):
                 _tap(gxp, i, j, stride, h_out, w_out)[...] += dcols[:, :, i, j]
         dx = _unpad2d(gxp, padding)
     return dx, dw
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[B,Cin,H,W] with weight[Cout,Cin,k,k].
-
-    The kernel follows the shape: per-tap GEMMs on the flattened padded
-    input (split into its stride phases when stride > 1), or im2col for a
-    strided conv whose output has more than 4x the input channels.
-    """
-    x, weight = as_tensor(x), as_tensor(weight)
-    _, cin, h, w = x.shape
-    cout, cw, k, k2 = weight.shape
-    if k != k2:
-        raise ShapeError(f"conv2d: kernel must be square, got {k}x{k2}")
-    if k % 2 == 0:
-        raise ShapeError(f"conv2d: kernel size must be odd, got {k}")
-    if cw != cin:
-        raise ShapeError(
-            f"conv2d: input channel dim {cin} != weight channel dim {cw}")
-    h_out, w_out = _conv_geometry(h, w, k, stride, padding)
-
-    if stride > 1 and cout > 4 * cin:
-        data = _im2col_conv(x.data, weight.data, stride, padding, h_out, w_out)
-
-        def grads(g, need_dx, need_dw):
-            return _im2col_conv_grads(g, x.data, weight.data, stride, padding,
-                                      need_dx, need_dw)
-    else:
-        data = _flat_conv(x.data, weight.data, stride, padding)
-
-        def grads(g, need_dx, need_dw):
-            return _flat_conv_grads(g, x.data, weight.data, stride, padding,
-                                    need_dx, need_dw)
-    return _conv_op("conv2d", x, weight, bias, data, grads)
 
 
 # Depthwise taps as one einsum. The input is transposed and zero-padded to
@@ -559,66 +532,65 @@ def _depthwise_grads(g, xd, wd, dilation, padding, need_dx, need_dw):
     return dx, dw
 
 
-def conv2d_depthwise(x: Tensor, weight: Tensor, dilation: int = 1,
-                     padding: Optional[int] = None) -> Tensor:
-    """Per-channel convolution: weight[C,1,k,k], channel c only sees channel c.
+def _conv_operands(name: str, x: Tensor,
+                   weight: Tensor) -> tuple[Tensor, Tensor]:
+    """x and weight as tensors, both 4-d with an odd square kernel."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    if len(x.shape) != 4 or len(weight.shape) != 4:
+        raise ShapeError(f"{name}: input and weight must be 4-d, got "
+                         f"{x.shape} and {weight.shape}")
+    k, k2 = weight.shape[2:]
+    if k != k2 or k % 2 == 0:
+        raise ShapeError(f"{name}: kernel must be odd square, got {k}x{k2}")
+    return x, weight
 
-    Stride 1. The forward is einsum('bcijn,cij->bcn') over the tap windows
-    of _depthwise_windows, with the bytes of a tap loop that adds
+
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+           stride: int = 1, padding: int = 0, dilation: int = 1) -> Tensor:
+    """Cross-correlation of x[B, Cin, H, W]; the weight's shape picks the
+    kernel, as the module docstring lists.
+
+    weight[Cout, Cin, k, k] is dense, at dilation 1. weight[Cin, 1, k, k]
+    at stride 1 is depthwise, channel c seeing only channel c, at any
+    dilation; a [1, 1, k, k] weight takes it too, for the same sum. The
+    depthwise forward is einsum('bcijn,cij->bcn') over the tap windows of
+    _depthwise_windows, with the bytes of a tap loop that adds
     x_tap * w[c, i, j] for i, then j; a numpy build whose einsum kernels
     fused multiply-add would change them, which the depthwise tests in
     tests/test_tensor_ops.py would catch. dw is einsum('bcn,bcijn->cij')
     over the same windows; dx is the forward kernel on the output gradient
     with the kernel flipped and padding d(k-1) - padding (a crop when
     negative).
-
-    Medians of 15-21 float32 calls on a 2-vCPU VM, two runs, against the
-    tap loops before: at the full-config [1, 80, 32, 32], forward k5 d1
-    2.2-3.0 -> 0.6-0.9 ms and k7 d3 4.1-5.2 -> 1.5 ms; at the
-    learning-check [4, 40, 32, 32], forward k5 d1 4.0-5.3 -> 1.2-1.7 ms
-    and k7 d3 11-14 -> 2.4-3.1 ms, dw 4.6-5.6 -> 1.4-1.5 ms and
-    9.2-9.9 -> 3.1 ms, dx 4.9-5.4 -> 1.3-1.5 ms and 11-14 -> 2.6-2.7 ms.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
-    c = x.shape[1]
-    cw, one, k, k2 = weight.shape
-    if k != k2 or k % 2 == 0:
-        raise ShapeError(f"conv2d_depthwise: kernel must be odd square, got {k}x{k2}")
-    if one != 1:
-        raise ShapeError(f"conv2d_depthwise: weight dim 1 must be 1, got {one}")
-    if cw != c:
-        raise ShapeError(
-            f"conv2d_depthwise: channel dim {c} != weight channel dim {cw}")
-    if dilation < 1:
-        raise ShapeError(f"conv2d_depthwise: dilation must be >= 1, got {dilation}")
-    if padding is None:
-        padding = dilation * (k - 1) // 2
+    x, weight = _conv_operands("conv2d", x, weight)
+    cin, cout, cw = x.shape[1], *weight.shape[:2]
+    depthwise = cw == 1 and cout == cin and stride == 1
+    if stride < 1:
+        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
     if padding < 0:
-        raise ShapeError(f"conv2d_depthwise: padding must be >= 0, got {padding}")
-    data = _depthwise(x.data, weight.data[:, 0], dilation, padding)
-
-    def grads(g, need_dx, need_dw):
-        return _depthwise_grads(g, x.data, weight.data, dilation, padding,
-                                need_dx, need_dw)
-    return _conv_op("conv2d_depthwise", x, weight, None, data, grads)
-
-
-def conv2d_pointwise(x: Tensor, weight: Tensor,
-                     bias: Optional[Tensor] = None) -> Tensor:
-    """1x1 convolution: per-pixel linear map across channels (the k=1,
-    padding=0 case of the stride-1 kernel, one GEMM per sample)."""
-    x, weight = as_tensor(x), as_tensor(weight)
-    _, cin, k1, k2 = weight.shape
-    if (k1, k2) != (1, 1):
-        raise ShapeError(f"conv2d_pointwise: kernel must be 1x1, got {k1}x{k2}")
-    if cin != x.shape[1]:
+        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
+    if dilation < 1:
+        raise ShapeError(f"conv2d: dilation must be >= 1, got {dilation}")
+    if cw == 1 and cout == cin > 1 and stride > 1:
+        raise ShapeError(f"conv2d: depthwise weight {weight.shape} needs "
+                         f"stride 1, got stride {stride}")
+    if not depthwise and cw != cin:
         raise ShapeError(
-            f"conv2d_pointwise: input channel dim {x.shape[1]} != weight dim {cin}")
-    data = _flat_conv(x.data, weight.data, 1, 0)
+            f"conv2d: input channel dim {cin} != weight channel dim {cw}")
+    if not depthwise and dilation > 1:
+        raise ShapeError(f"conv2d: dilation {dilation} needs a depthwise "
+                         f"weight [C, 1, k, k], got {weight.shape}")
 
-    def grads(g, need_dx, need_dw):
-        return _flat_conv_grads(g, x.data, weight.data, 1, 0, need_dx, need_dw)
-    return _conv_op("conv2d_pointwise", x, weight, bias, data, grads)
+    if depthwise:
+        data = _depthwise(x.data, weight.data[:, 0], dilation, padding)
+        grads = partial(_depthwise_grads, dilation=dilation, padding=padding)
+    elif stride > 1 and cout > 4 * cin:
+        data = _im2col_conv(x.data, weight.data, stride, padding)
+        grads = partial(_im2col_conv_grads, stride=stride, padding=padding)
+    else:
+        data = _flat_conv(x.data, weight.data, stride, padding)
+        grads = partial(_flat_conv_grads, stride=stride, padding=padding)
+    return _conv_op("conv2d", x, weight, bias, data, grads)
 
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -653,21 +625,6 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
                 m1 = gn.mean(axis=1, keepdims=True)
                 m2 = (gn * xn).mean(axis=1, keepdims=True)
                 x.accumulate_grad(inv * (gn - m1 - xn * m2))
-        tape.record(out, backward)
-    return out
-
-
-def upsample_nearest2(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x spatial upsample of x[B,C,H,W]."""
-    x = as_tensor(x)
-    b_, c, h, w = x.shape
-    data = np.broadcast_to(x.data[:, :, :, None, :, None],
-                           (b_, c, h, 2, w, 2)).reshape(b_, c, 2 * h, 2 * w)
-    out, tape = _track(np.ascontiguousarray(data), x)
-    if tape is not None:
-        def backward():
-            x.accumulate_grad(
-                out.grad.reshape(b_, c, h, 2, w, 2).sum(axis=(3, 5)))
         tape.record(out, backward)
     return out
 
@@ -741,27 +698,22 @@ def _upsample2_conv_grads(g, xd, wd, need_dx, need_dw):
 
 def upsample2_conv2d(x: Tensor, weight: Tensor,
                      bias: Optional[Tensor] = None) -> Tensor:
-    """conv2d(upsample_nearest2(x), weight, bias, padding=(k-1)//2) without
-    the upsampled tensor.
+    """Nearest-2x upsample of x[B, Cin, H, W], then the same conv
+    (conv2d with padding (k-1)//2), without the upsampled tensor.
 
     Each of the four output parities is a stride-1 conv of the
     low-resolution x with (p+1) x (p+1) summed taps (2x2 for k=3: 2.25x
     fewer multiply-adds); the parities are interleaved into the output.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
-    _, cin, k, k2 = weight.shape
-    if k != k2 or k % 2 == 0:
-        raise ShapeError(
-            f"upsample2_conv2d: kernel must be odd square, got {k}x{k2}")
+    x, weight = _conv_operands("upsample2_conv2d", x, weight)
+    cin = weight.shape[1]
     if cin != x.shape[1]:
         raise ShapeError(
             f"upsample2_conv2d: input channel dim {x.shape[1]} != weight "
             f"channel dim {cin}")
     data = _upsample2_conv(x.data, weight.data)
-
-    def grads(g, need_dx, need_dw):
-        return _upsample2_conv_grads(g, x.data, weight.data, need_dx, need_dw)
-    return _conv_op("upsample2_conv2d", x, weight, bias, data, grads)
+    return _conv_op("upsample2_conv2d", x, weight, bias, data,
+                    _upsample2_conv_grads)
 
 
 # ---------------------------------------------------------------------------

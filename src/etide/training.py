@@ -468,6 +468,7 @@ def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
     """Median/p95 latency of an eval-mode forward at batch 1, and the
     tracemalloc peak of one more such forward above the bytes held before
     it (traced_peak_bytes; run after the timed calls, which it would slow).
+    A caller's running trace is left running, with its peak reset.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -482,13 +483,18 @@ def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
         t0 = time.perf_counter()
         model.forward(x, training=False)
         times[i] = (time.perf_counter() - t0) * 1e3
-    tracemalloc.start()
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         model.forward(x, training=False)
         traced_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
-        tracemalloc.stop()
+        if not tracing:
+            tracemalloc.stop()
     return {
         "median_ms": float(np.median(times)),
         "p95_ms": float(np.percentile(times, 95)),

@@ -112,10 +112,8 @@ def test_2_structural_invariants():
     # (d) composed depthwise mixing: impulse support exactly 23x23
     grid = np.zeros((1, 1, 33, 33))
     grid[0, 0, 16, 16] = 1.0
-    a = ops.conv2d_depthwise(Tensor(grid), Tensor(np.ones((1, 1, 5, 5))),
-                             padding=2)
-    a = ops.conv2d_depthwise(a, Tensor(np.ones((1, 1, 7, 7))), dilation=3,
-                             padding=9)
+    a = ops.conv2d(Tensor(grid), Tensor(np.ones((1, 1, 5, 5))), padding=2)
+    a = ops.conv2d(a, Tensor(np.ones((1, 1, 7, 7))), dilation=3, padding=9)
     support = a.data[0, 0] != 0.0
     rows = np.flatnonzero(support.any(axis=1))
     cols = np.flatnonzero(support.any(axis=0))

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from etide.numerics import (ShapeError, Tape, Tensor, grad_check, ops,
-                            op_suite_cases, run_op_suite)
+from etide.numerics import (ShapeError, Tape, Tensor, active_tape,
+                            grad_check, ops, op_suite_cases, run_op_suite)
 from etide.numerics.tensor import Parameter
 
 
@@ -112,6 +112,22 @@ def upsample_oracle(x):
     return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
 
+def upsample_on_tape(x):
+    """upsample_oracle of a Tensor, recorded on the active tape: the
+    backward sums each 2x2 block of the output gradient."""
+    tape = active_tape()
+    out = Tensor(upsample_oracle(x.data), requires_grad=tape is not None,
+                 dtype=x.dtype)
+    if tape is not None:
+        b_, c, h, w = x.shape
+
+        def backward():
+            x.accumulate_grad(
+                out.grad.reshape(b_, c, h, 2, w, 2).sum(axis=(3, 5)))
+        tape.record(out, backward)
+    return out
+
+
 def quantile_oracle(values, q):
     ordered = sorted(float(v) for v in np.asarray(values).reshape(-1))
     return ordered[math.ceil(q * len(ordered)) - 1]
@@ -167,11 +183,12 @@ class TestConv2d:
 
     # each kernel: flat per-tap GEMMs at stride 1 (k = 1, 3, 5) and on the
     # stride phases (strides 2 and 3, odd and even sizes, k = 3 and 5);
-    # im2col for strided convs with cout > 4*cin
+    # im2col for strided convs with cout > 4*cin; depthwise for a
+    # 1-channel weight at stride 1
     @pytest.mark.parametrize("cin,cout,k,stride,padding", [
         (3, 4, 1, 1, 0), (3, 4, 3, 1, 1), (3, 4, 5, 1, 2), (3, 4, 5, 1, 0),
         (12, 4, 3, 2, 1), (3, 4, 3, 2, 0), (3, 4, 5, 2, 2), (5, 4, 3, 3, 1),
-        (2, 9, 3, 2, 1), (1, 8, 5, 2, 2)])
+        (2, 9, 3, 2, 1), (1, 8, 5, 2, 2), (1, 1, 3, 1, 1)])
     def test_matches_oracle_each_kernel(self, cin, cout, k, stride, padding):
         rng = np.random.default_rng(cin * 10 + k)
         x = rng.normal(size=(3, cin, 9, 6))
@@ -212,6 +229,31 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channel"):
             ops.conv2d(x, w)
 
+    # one ShapeError naming each bad argument; before the checks the first
+    # three raised ZeroDivisionError, a numpy broadcast ValueError and a
+    # tuple-unpack ValueError
+    @pytest.mark.parametrize("op,x_shape,w_shape,kwargs,match", [
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3), dict(stride=0), "stride"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3), dict(padding=-1), "padding"),
+        (ops.conv2d, (2, 6, 6), (3, 2, 3, 3), {}, "4-d"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 2), {}, "4-d"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3), dict(dilation=2),
+         "dilation"),
+        (ops.conv2d, (1, 2, 6, 6), (2, 1, 3, 3), dict(dilation=0),
+         "dilation"),
+        (ops.conv2d, (1, 2, 6, 6), (2, 1, 3, 3), dict(stride=2), "stride"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 1, 3, 3), {}, "channel"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 5), {}, "square"),
+        (ops.upsample2_conv2d, (2, 6, 6), (3, 2, 3, 3), {}, "4-d"),
+    ], ids=["stride0", "padding-1", "x-3d", "w-2d", "dense-dilation2",
+            "dilation0", "depthwise-stride2", "channel", "non-square",
+            "upsample2-x-3d"])
+    def test_bad_arguments_raise_shape_error(self, op, x_shape, w_shape,
+                                             kwargs, match):
+        with pytest.raises(ShapeError, match=match):
+            op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)),
+               **kwargs)
+
 
 def _grads(fn, tensors, weights):
     """Gradients of sum(fn() * weights) with respect to each tensor."""
@@ -223,7 +265,7 @@ def _grads(fn, tensors, weights):
 
 
 class TestUpsample2Conv:
-    """upsample2_conv2d against the two ops it fuses."""
+    """upsample2_conv2d against conv2d on the upsampled input."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_float64_matches_upsample_then_conv(self, k):
@@ -232,7 +274,7 @@ class TestUpsample2Conv:
                    for s, n in (((2, 3, 5, 4), "x"), ((4, 3, k, k), "w"),
                                 ((4,), "b")))
         fused = lambda: ops.upsample2_conv2d(x, w, b)
-        split = lambda: ops.conv2d(ops.upsample_nearest2(x), w, b,
+        split = lambda: ops.conv2d(upsample_on_tape(x), w, b,
                                    padding=(k - 1) // 2)
         assert fused().data.shape == (2, 4, 10, 8)
         assert np.abs(fused().data - split().data).max() <= 1e-12
@@ -251,7 +293,7 @@ class TestUpsample2Conv:
                    for s, n in (((1, 24, 8, 6), "x"), ((16, 24, k, k), "w"),
                                 ((16,), "b")))
         fused = lambda: ops.upsample2_conv2d(x, w, b)
-        split = lambda: ops.conv2d(ops.upsample_nearest2(x), w, b,
+        split = lambda: ops.conv2d(upsample_on_tape(x), w, b,
                                    padding=(k - 1) // 2)
         eps = np.finfo(np.float32).eps
         ref = split().data
@@ -285,7 +327,7 @@ class TestDepthwise:
         x = np.zeros((1, 1, 31, 31))
         x[0, 0, 15, 15] = 1.0
         w = np.ones((1, 1, 5, 5))
-        resp = ops.conv2d_depthwise(Tensor(x), Tensor(w), padding=2).data
+        resp = ops.conv2d(Tensor(x), Tensor(w), padding=2).data
         assert impulse_support(resp[0, 0]) == (5, 5)
         oracle = conv2d_oracle(x, w, padding=2, depthwise=True)
         assert np.allclose(resp, oracle)
@@ -294,8 +336,7 @@ class TestDepthwise:
         x = np.zeros((1, 1, 41, 41))
         x[0, 0, 20, 20] = 1.0
         w = np.ones((1, 1, 7, 7))
-        resp = ops.conv2d_depthwise(Tensor(x), Tensor(w), dilation=3,
-                                    padding=9).data
+        resp = ops.conv2d(Tensor(x), Tensor(w), dilation=3, padding=9).data
         assert impulse_support(resp[0, 0]) == (19, 19)
         # taps are spaced 3 apart: 49 nonzero sites
         assert int((resp != 0).sum()) == 49
@@ -307,18 +348,18 @@ class TestDepthwise:
         x[0, 0, 25, 25] = 1.0
         w1 = np.ones((1, 1, 5, 5))
         w2 = np.ones((1, 1, 7, 7))
-        a = ops.conv2d_depthwise(Tensor(x), Tensor(w1), padding=2)
-        b = ops.conv2d_depthwise(a, Tensor(w2), dilation=3, padding=9)
+        a = ops.conv2d(Tensor(x), Tensor(w1), padding=2)
+        b = ops.conv2d(a, Tensor(w2), dilation=3, padding=9)
         assert impulse_support(b.data[0, 0]) == (23, 23)
 
     def test_channels_stay_separate(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 3, 8, 8))
         w = rng.normal(size=(3, 1, 3, 3))
-        base = ops.conv2d_depthwise(Tensor(x), Tensor(w), padding=1).data
+        base = ops.conv2d(Tensor(x), Tensor(w), padding=1).data
         x2 = x.copy()
         x2[0, 1] += 10.0  # perturb one channel only
-        pert = ops.conv2d_depthwise(Tensor(x2), Tensor(w), padding=1).data
+        pert = ops.conv2d(Tensor(x2), Tensor(w), padding=1).data
         assert np.allclose(base[0, 0], pert[0, 0])
         assert np.allclose(base[0, 2], pert[0, 2])
         assert not np.allclose(base[0, 1], pert[0, 1])
@@ -331,9 +372,9 @@ class TestDepthwise:
         pad = dilation
         expected = conv2d_oracle(x, w, padding=pad, dilation=dilation,
                                  depthwise=True)
-        got = ops.conv2d_depthwise(Tensor(x, dtype=np.float64),
-                                   Tensor(w, dtype=np.float64),
-                                   dilation=dilation, padding=pad).data
+        got = ops.conv2d(Tensor(x, dtype=np.float64),
+                         Tensor(w, dtype=np.float64),
+                         dilation=dilation, padding=pad).data
         assert np.allclose(got, expected, atol=1e-10)
 
     # (shape, k, dilation, padding): the model's two mixing convs at the
@@ -357,8 +398,8 @@ class TestDepthwise:
         rng = np.random.default_rng(k + dilation + padding + shape[1])
         x = rng.normal(size=shape).astype(dtype)
         w = rng.normal(size=(shape[1], 1, k, k)).astype(dtype)
-        got = ops.conv2d_depthwise(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype),
-                                   dilation=dilation, padding=padding).data
+        got = ops.conv2d(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype),
+                         dilation=dilation, padding=padding).data
         ref = depthwise_tap_loop(x, w, dilation, padding)
         assert got.dtype == dtype and got.flags.c_contiguous
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -374,8 +415,7 @@ class TestDepthwise:
         x = Parameter(rng.normal(size=shape), "x", dtype=dtype)
         w = Parameter(rng.normal(size=(shape[1], 1, k, k)), "w", dtype=dtype)
         with Tape() as tape:
-            out = ops.conv2d_depthwise(x, w, dilation=dilation,
-                                       padding=padding)
+            out = ops.conv2d(x, w, dilation=dilation, padding=padding)
             g = rng.normal(size=out.shape).astype(dtype)
             tape.backward(ops.weighted_sum(out, g))
         dx, dw = depthwise_grads_oracle(g, x.data, w.data, dilation, padding)
@@ -401,8 +441,8 @@ class TestDepthwise:
 
     def test_rejects_negative_padding(self):
         with pytest.raises(ShapeError, match="padding"):
-            ops.conv2d_depthwise(Tensor(np.zeros((1, 2, 6, 6))),
-                                 Tensor(np.zeros((2, 1, 3, 3))), padding=-1)
+            ops.conv2d(Tensor(np.zeros((1, 2, 6, 6))),
+                       Tensor(np.zeros((2, 1, 3, 3))), padding=-1)
 
 
 class TestPointwise:
@@ -410,21 +450,21 @@ class TestPointwise:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 4, 3, 3))
         w = np.eye(4).reshape(4, 4, 1, 1)
-        got = ops.conv2d_pointwise(Tensor(x), Tensor(w)).data
+        got = ops.conv2d(Tensor(x), Tensor(w)).data
         assert np.allclose(got, x.astype(np.float32))
 
     def test_ones_sum_channels(self):
         x = np.ones((1, 2, 2, 2))
         w = np.ones((1, 2, 1, 1))
-        got = ops.conv2d_pointwise(Tensor(x), Tensor(w)).data
+        got = ops.conv2d(Tensor(x), Tensor(w)).data
         assert np.allclose(got, 2.0)
 
     def test_batched_output_contiguous(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 4, 5, 2))
         w = rng.normal(size=(6, 4, 1, 1))
-        got = ops.conv2d_pointwise(Tensor(x, dtype=np.float64),
-                                   Tensor(w, dtype=np.float64)).data
+        got = ops.conv2d(Tensor(x, dtype=np.float64),
+                         Tensor(w, dtype=np.float64)).data
         assert got.flags.c_contiguous
         assert np.allclose(got, conv2d_oracle(x, w), atol=1e-10)
 
@@ -432,7 +472,7 @@ class TestPointwise:
         x = Tensor(np.random.default_rng(1).normal(size=(1, 3, 4, 4)))
         w = Tensor(np.zeros((2, 3, 1, 1)))
         b = Tensor(np.array([1.5, -2.0]))
-        got = ops.conv2d_pointwise(x, w, b).data
+        got = ops.conv2d(x, w, b).data
         assert np.allclose(got[0, 0], 1.5) and np.allclose(got[0, 1], -2.0)
 
 
@@ -588,12 +628,6 @@ class TestSoftmaxKL:
 # ---------------------------------------------------------------------------
 
 class TestStructural:
-    def test_upsample_exact(self):
-        x = np.arange(6.0).reshape(1, 1, 2, 3)
-        got = ops.upsample_nearest2(Tensor(x)).data
-        expected = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
-        assert np.array_equal(got, expected.astype(np.float32))
-
     def test_frame_diff(self):
         x = np.arange(12.0).reshape(1, 4, 3) ** 2
         got = ops.frame_diff(Tensor(x)).data
@@ -608,6 +642,13 @@ class TestStructural:
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ops.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+    # a (1,) bias broadcast in the forward, then numpy failed in backward
+    @pytest.mark.parametrize("bias_shape", [(1,), (3,), (1, 4), (4, 1)])
+    def test_linear_rejects_bias_shape(self, bias_shape):
+        with pytest.raises(ShapeError, match="bias"):
+            ops.linear(Tensor(np.ones((3, 5))), Tensor(np.ones((4, 5))),
+                       Tensor(np.ones(bias_shape)))
 
     def test_masked_mean_pool_values(self):
         x = np.zeros((1, 2, 2, 2))

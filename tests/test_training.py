@@ -436,6 +436,16 @@ class TestBenchmark:
         assert abs(got - peak) <= 0.1 * peak, (got, peak)
         assert not tracemalloc.is_tracing()
 
+    def test_leaves_a_running_trace_running(self):
+        model = init_params(tiny_model_cfg(), seed=0)
+        tracemalloc.start()
+        try:
+            got = benchmark(model, iters=2, warmup=1)["traced_peak_bytes"]
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        assert got > 0
+
     def test_memory_estimate_monotone_in_size(self):
         small = estimate_activation_bytes(tiny_model_cfg())
         large = estimate_activation_bytes(tiny_model_cfg(height=32, width=32))
