@@ -563,14 +563,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     negative).
     """
     x, weight = _conv_operands("conv2d", x, weight)
+    for name, value, least in (("stride", stride, 1), ("padding", padding, 0),
+                               ("dilation", dilation, 1)):
+        if not isinstance(value, (int, np.integer)):
+            raise ShapeError(f"conv2d: {name} must be an integer, got "
+                             f"{value!r}")
+        if value < least:
+            raise ShapeError(f"conv2d: {name} must be >= {least}, got {value}")
     cin, cout, cw = x.shape[1], *weight.shape[:2]
     depthwise = cw == 1 and cout == cin and stride == 1
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
-    if dilation < 1:
-        raise ShapeError(f"conv2d: dilation must be >= 1, got {dilation}")
     if cw == 1 and cout == cin > 1 and stride > 1:
         raise ShapeError(f"conv2d: depthwise weight {weight.shape} needs "
                          f"stride 1, got stride {stride}")
@@ -597,6 +598,9 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
                         eps: float = 1e-6) -> Tensor:
     """Normalize the channel vector at every (b, h, w) location."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if len(x.shape) != 4:
+        raise ShapeError(
+            f"layer_norm_channels: input must be 4-d, got {x.shape}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
@@ -786,6 +790,9 @@ def kl_div(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
 def masked_mean_pool(x: Tensor, mask: np.ndarray, eps: float = 1e-8) -> Tensor:
     """Spatial mean of x[B,C,H,W] over a constant {0,1} mask[B,1,H,W]."""
     x = as_tensor(x)
+    if len(x.shape) != 4:
+        raise ShapeError(
+            f"masked_mean_pool: input must be 4-d, got {x.shape}")
     mask = mask.astype(x.dtype, copy=False)
     if mask.shape != (x.shape[0], 1, x.shape[2], x.shape[3]):
         raise ShapeError(
@@ -809,6 +816,9 @@ def gated_product(gate: Tensor, features: Tensor,
     base=None it degrades to a plain channel gate (ablation switch).
     """
     gate, features = as_tensor(gate), as_tensor(features)
+    if len(features.shape) != 4:
+        raise ShapeError(
+            f"gated_product: features must be 4-d, got {features.shape}")
     if gate.shape != features.shape[:2]:
         raise ShapeError(
             f"gated_product: gate shape {gate.shape} != feature channels "

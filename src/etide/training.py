@@ -21,7 +21,7 @@ import numpy as np
 from .events import (DEFAULT_BIN_US, OccurrenceTensor, bin_events,
                      random_bar_scene, read_ocm, synth_scene, write_ocm)
 from .losses import LossConfig, total_loss
-from .metrics import MetricAccumulator, binarize
+from .metrics import MetricAccumulator, binarize, is_binary
 from .model import ModelConfig, TideModel, save_checkpoint
 from .numerics import Tape, Tensor, ops
 from .util import atomic_write_bytes
@@ -188,7 +188,7 @@ class SequenceDataset:
         for name, arr in (("inputs", inputs), ("targets", targets)):
             if arr.ndim != 5 or arr.shape[2] != 2:
                 raise ValueError(f"{name} must be [N,T,2,H,W], got {arr.shape}")
-            if not np.all((arr == 0) | (arr == 1)):
+            if not is_binary(arr):
                 raise ValueError(f"{name} must be binary")
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError("inputs and targets disagree on sequence count")

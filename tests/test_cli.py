@@ -42,6 +42,25 @@ def synth_args(out, n, frames=3, size="16x16", seed=0):
             "--frames", str(frames), "--size", size, "--seed", str(seed)]
 
 
+def run_etide(args, blas_threads):
+    """`python -m etide args` in a fresh process with the BLAS thread count
+    fixed; returns the completed process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               OMP_NUM_THREADS=blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "etide", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# at 64x64 the dec1 GEMMs (16 x 32 x 1088 multiply-adds per parity) exceed
+# OpenBLAS's default size threshold for threading, so a two-thread run
+# really splits work
+THREADED_MODEL = dict(height=64, width=64, c_step=4, enc_widths=(16,),
+                      dec_widths=(32, 16))
+
+
 class TestUsageErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit) as err:
@@ -168,31 +187,34 @@ class TestTrain:
         assert all(after[name] == before[name] for name in before)
 
     def test_checkpoint_independent_of_blas_threads(self, tmp_path):
-        # at 64x64 the dec1 GEMMs (16 x 32 x 1088 multiply-adds per parity)
-        # exceed OpenBLAS's default size threshold for threading, so the
-        # two-thread run really splits work
         data = tmp_path / "data"
         assert main(synth_args(data, 4, size="64x64")) == 0
-        cfg = write_train_config(
-            tmp_path / "cfg.txt", batch_size=2,
-            model=model_cfg(height=64, width=64, c_step=4,
-                            enc_widths=(16,), dec_widths=(32, 16)))
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = write_train_config(tmp_path / "cfg.txt", batch_size=2,
+                                 model=model_cfg(**THREADED_MODEL))
         checkpoints = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [os.path.join(root, "src"),
-                              env.get("PYTHONPATH")]))
             out = tmp_path / f"threads{threads}" / "model.etw"
-            proc = subprocess.run(
-                [sys.executable, "-m", "etide", "train", "--data", str(data),
-                 "--config", str(cfg), "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300)
+            proc = run_etide(["train", "--data", str(data), "--config",
+                              str(cfg), "--out", str(out)], threads)
             assert proc.returncode == 0, proc.stderr
             checkpoints.append(out.read_bytes())
         assert checkpoints[0] == checkpoints[1]
+
+    def test_eval_independent_of_blas_threads(self, tmp_path):
+        # the forward's GEMMs split at two threads, and both SSIM passes
+        # are BLAS gemv calls, so every printed score must hold its bits
+        data = tmp_path / "data"
+        assert main(synth_args(data, 2, size="64x64")) == 0
+        ckpt = tmp_path / "model.etw"
+        save_checkpoint(ckpt, init_params(model_cfg(**THREADED_MODEL),
+                                          seed=0))
+        printed = []
+        for threads in ("1", "2"):
+            proc = run_etide(["eval", "--ckpt", str(ckpt), "--data",
+                              str(data), "--threshold-grid"], threads)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        assert "ssim=" in printed[0] and printed[0] == printed[1]
 
     @pytest.mark.parametrize("key,value", [
         ("lr", "nan"), ("lr", "inf"), ("eps", "inf"), ("grad_clip", "nan"),

@@ -294,10 +294,25 @@ class TestAccumulator:
             assert a[key] == pytest.approx(b[key], abs=1e-12), key
 
     def test_rejects_nonbinary(self):
+        # unsigned arrays are checked by their maximum, the rest element-wise
+        ok = np.zeros((1, 2, 4, 4), dtype=np.uint8)
+        for bad in (np.full(ok.shape, 2, dtype=np.uint8),
+                    np.full(ok.shape, -1, dtype=np.int8),
+                    np.full(ok.shape, 0.5), np.full(ok.shape, np.nan)):
+            for side, args in (("prediction", (bad, ok)),
+                               ("target", (ok, bad))):
+                with pytest.raises(ValueError,
+                                   match=f"^{side} mask must be binary$"):
+                    MetricAccumulator().update(*args)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int8, np.float64])
+    def test_accepts_binary_and_empty(self, dtype):
         acc = MetricAccumulator()
-        with pytest.raises(ValueError):
-            acc.update(np.full((1, 2, 4, 4), 2, dtype=np.uint8),
-                       np.zeros((1, 2, 4, 4), dtype=np.uint8))
+        acc.update(np.zeros((0, 2, 4, 4), dtype=dtype),
+                   np.zeros((0, 2, 4, 4), dtype=dtype))
+        ones = np.ones((1, 2, 4, 4), dtype=dtype)
+        acc.update(ones, ones)
+        assert acc.finalize()["miou"] == 1.0
 
     def test_rejects_mismatched_shapes(self):
         acc = MetricAccumulator()
@@ -339,6 +354,17 @@ class TestFidelity:
         probs = rng.random((16, 20))
         pairs.append((probs, (probs + rng.normal(0, 0.2, size=probs.shape)
                               > 0.5).astype(np.float64)))
+        # binary images reuse their filtered mean as that of their square:
+        # binary against binary (persistence), a binary prediction against
+        # a probability target, constant images and an 11-wide binary pair
+        def binary(shape, p=0.3):
+            return (rng.random(shape) < p).astype(np.float64)
+        pairs.append((binary((14, 18)), binary((14, 18))))
+        pairs.append((binary((16, 20)), probs))
+        zeros, ones = np.zeros((13, 13)), np.ones((13, 13))
+        pairs += [(zeros, zeros), (ones, ones), (zeros, ones),
+                  (ones, binary((13, 13)))]
+        pairs.append((binary((17, 11)), binary((17, 11), 0.5)))
         for x, y in pairs:
             assert ssim(x, y) == pytest.approx(ssim_oracle(x, y), abs=1e-12)
 
@@ -356,16 +382,18 @@ class TestFidelity:
         rng = np.random.default_rng(41)
         gt = (rng.random((3, 2, 16, 16)) < 0.3).astype(np.uint8)
         probs = np.clip(gt + rng.normal(0, 0.1, size=gt.shape), 0, 1)
-        acc = MetricAccumulator()
-        acc.update(binarize(probs), gt, probs)
-        out = acc.finalize()
-        assert out["mse"] == pytest.approx(mse(probs, gt))
-        per_frame = [
-            np.mean([ssim(probs[t, c], gt[t, c].astype(np.float64))
-                     for c in range(2)])
-            for t in range(3)
-        ]
-        assert out["ssim"] == pytest.approx(float(np.mean(per_frame)))
+        # binary probabilities, as persistence scores its repeated frame
+        for probs in (probs, (probs > 0.5).astype(np.float64)):
+            acc = MetricAccumulator()
+            acc.update(binarize(probs), gt, probs)
+            out = acc.finalize()
+            assert out["mse"] == pytest.approx(mse(probs, gt))
+            per_frame = [
+                np.mean([ssim(probs[t, c], gt[t, c].astype(np.float64))
+                         for c in range(2)])
+                for t in range(3)
+            ]
+            assert out["ssim"] == pytest.approx(float(np.mean(per_frame)))
 
 
 # ---------------------------------------------------------------------------

@@ -245,9 +245,17 @@ class TestConv2d:
         (ops.conv2d, (1, 2, 6, 6), (3, 1, 3, 3), {}, "channel"),
         (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 5), {}, "square"),
         (ops.upsample2_conv2d, (2, 6, 6), (3, 2, 3, 3), {}, "4-d"),
+        # non-integers raised TypeError from inside numpy
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3), dict(stride=2.0),
+         "stride must be an integer"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3), dict(padding=1.0),
+         "padding must be an integer"),
+        (ops.conv2d, (1, 2, 6, 6), (2, 1, 3, 3), dict(dilation=1.5),
+         "dilation must be an integer"),
     ], ids=["stride0", "padding-1", "x-3d", "w-2d", "dense-dilation2",
             "dilation0", "depthwise-stride2", "channel", "non-square",
-            "upsample2-x-3d"])
+            "upsample2-x-3d", "stride-float", "padding-float",
+            "dilation-float"])
     def test_bad_arguments_raise_shape_error(self, op, x_shape, w_shape,
                                              kwargs, match):
         with pytest.raises(ShapeError, match=match):
@@ -657,6 +665,25 @@ class TestStructural:
         mask = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
         got = ops.masked_mean_pool(Tensor(x), mask).data
         assert np.allclose(got, [[2.5, 25.0]], atol=1e-5)
+
+    # 3-d inputs raised numpy's broadcast ValueError (layer norm, gated
+    # product) or an IndexError (pool) instead of ShapeError
+    @pytest.mark.parametrize("call", [
+        lambda: ops.layer_norm_channels(Tensor(np.zeros((2, 3, 4))),
+                                        Tensor(np.ones(3)),
+                                        Tensor(np.zeros(3))),
+        lambda: ops.gated_product(Tensor(np.zeros((2, 3))),
+                                  Tensor(np.zeros((2, 3, 4)))),
+        lambda: ops.gated_product(Tensor(np.zeros((2, 3))),
+                                  Tensor(np.zeros((2, 3, 4))),
+                                  Tensor(np.zeros((2, 3, 4)))),
+        lambda: ops.masked_mean_pool(Tensor(np.zeros((2, 3, 4))),
+                                     np.ones((2, 1, 4))),
+    ], ids=["layer_norm_channels", "gated_product", "gated_product-base",
+            "masked_mean_pool"])
+    def test_rank_checked(self, call):
+        with pytest.raises(ShapeError, match="4-d"):
+            call()
 
     def test_gated_product_forms(self):
         rng = np.random.default_rng(0)

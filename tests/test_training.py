@@ -221,9 +221,19 @@ class TestDataset:
         assert tr == [0] and va == []
 
     def test_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            SequenceDataset(np.full((1, 2, 2, 4, 4), 3, dtype=np.uint8),
-                            np.zeros((1, 2, 2, 4, 4), dtype=np.uint8))
+        # values are cast to uint8 first, so -1 arrives as 255
+        ok = np.zeros((1, 2, 2, 4, 4), dtype=np.uint8)
+        for bad in (np.full(ok.shape, 3, dtype=np.uint8),
+                    np.full(ok.shape, 2, dtype=np.uint8),
+                    np.full(ok.shape, -1, dtype=np.int8)):
+            for side, args in (("inputs", (bad, ok)), ("targets", (ok, bad))):
+                with pytest.raises(ValueError,
+                                   match=f"^{side} must be binary$"):
+                    SequenceDataset(*args)
+
+    def test_accepts_empty(self):
+        empty = np.zeros((0, 2, 2, 4, 4), dtype=np.uint8)
+        assert len(SequenceDataset(empty, empty)) == 0
 
 
 # ---------------------------------------------------------------------------
