@@ -12,6 +12,7 @@ import numpy as np
 
 from etide.model import ModelConfig, count_params, init_params
 from etide.numerics import Tensor, ops
+from etide.training import predict
 from etide.util import config_to_text
 
 cfg = ModelConfig()
@@ -21,14 +22,14 @@ print(f"parameters: {count_params(model)}")
 
 rng = np.random.default_rng(0)
 x = (rng.random((1, cfg.t_in, 2, cfg.height, cfg.width)) < 0.02)
-x = Tensor(x.astype(np.float32))
+x = x.astype(np.float32)
 
 t0 = time.perf_counter()
-logits = model.forward(x)
+logits = model.forward(Tensor(x))
 dt = time.perf_counter() - t0
 print(f"forward: {x.shape} -> {logits.shape} in {dt * 1e3:.0f} ms")
 
-probs = model.predict_proba(x)
+probs = predict(model, x)
 print(f"probabilities in [{probs.min():.3f}, {probs.max():.3f}], "
       f"mean {probs.mean():.3f}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .events import FileFormatError, OccurrenceTensor, read_ocm, write_ocm
 from .metrics import binarize, format_record, format_table
-from .model import (CheckpointError, ModelConfig, init_params,
+from .model import (CheckpointError, ModelConfig, count_params, init_params,
                     load_checkpoint, save_checkpoint)
 from .numerics import check_model_gradients, run_op_suite
 from .training import (AdamState, TrainConfig, benchmark, load_dataset,
@@ -181,12 +181,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_inspect(args) -> int:
     model = load_checkpoint(args.ckpt)
-    total = 0
     for p in model.parameters():
         shape = "x".join(str(s) for s in p.shape) if p.shape else "scalar"
         print(f"{p.name} {shape}")
-        total += p.data.size
-    print(f"n_params={total}")
+    print(f"n_params={count_params(model)}")
     return 0
 
 

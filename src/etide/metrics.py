@@ -175,8 +175,7 @@ class MetricAccumulator:
     """Streaming counts for globally accumulated overlap and fidelity scores.
 
     Intersection/union counters are unsigned 64-bit and indexed
-    [ON, OFF, polarity-agnostic]; merging accumulators sums counts, so the
-    result is independent of how an evaluation set was sharded.
+    [ON, OFF, polarity-agnostic].
     """
 
     def __init__(self) -> None:
@@ -222,14 +221,6 @@ class MetricAccumulator:
                 self.ssim_sum += float(np.mean(
                     [ssim(probs[t, c], gf[t, c]) for c in range(2)]))
             self.frame_count += probs.shape[0]
-
-    def merge(self, other: "MetricAccumulator") -> None:
-        self.inter += other.inter
-        self.union += other.union
-        self.mse_sum += other.mse_sum
-        self.pixel_count += other.pixel_count
-        self.ssim_sum += other.ssim_sum
-        self.frame_count += other.frame_count
 
     def finalize(self) -> dict:
         """Scores from the accumulated counts.

@@ -161,10 +161,6 @@ class TideModel:
             z = self.tide_block(z, b, training=training, rng=rng)
         return self.decode(z)
 
-    def predict_proba(self, x) -> np.ndarray:
-        """Eval-mode forward followed by sigmoid; plain array out."""
-        return ops.sigmoid(self.forward(x, training=False)).data
-
     def encode(self, x: Tensor) -> Tensor:
         """Shared-weight frame encoder; every time step sees the same convs."""
         cfg = self.config

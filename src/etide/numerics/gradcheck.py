@@ -4,6 +4,13 @@ grad_check compares tape gradients against (f(x+eps) - f(x-eps)) / (2 eps)
 for every checked entry, in float64. run_op_suite covers each differentiable
 op with small random instances; check_model_gradients runs the same
 comparison through a full composed forward + loss.
+
+The op suite is a table: a row is a name and a builder(seed). Most rows
+come from _case(op, *param_specs, const=None), which draws the named
+float64 parameters in turn from default_rng(seed), then any constant
+(targets or a mask), and scores a fixed random projection of op's output.
+Only relu (its kink shift), kl_div (already a scalar) and drop_path (its
+own mask stream) are written out.
 """
 
 from __future__ import annotations
@@ -78,234 +85,132 @@ def _scalarize(t: Tensor, rng: np.random.Generator) -> Tensor:
     return ops.weighted_sum(t, w)
 
 
+def _case(op: Callable[..., Tensor], *param_specs, const=None):
+    """Builder(seed) -> (fn, params) for one op-suite row.
+
+    Each spec is (name, shape) or (name, shape, lo, hi); the float64
+    parameters are drawn uniformly in turn from default_rng(seed), then
+    const(rng), when given, draws one constant (a target or a mask) from
+    the same stream. fn scores _scalarize(op(*params[, const])) with the
+    projection drawn from default_rng(seed + 1).
+    """
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        params = [_p(rng, shape, name, *bounds)
+                  for name, shape, *bounds in param_specs]
+        args = params if const is None else params + [const(rng)]
+
+        def fn():
+            return _scalarize(op(*args), np.random.default_rng(seed + 1))
+        return fn, params
+    return build
+
+
+def _mask(shape, rate):
+    """const(rng) drawing a {0, 1} float64 array, 1 with probability rate."""
+    return lambda rng: (rng.random(shape) < rate).astype(np.float64)
+
+
+def _pool_mask(rng):
+    mask = _mask((2, 1, 5, 5), 0.3)(rng)
+    mask[:, :, 0, 0] = 1.0  # at least one active site per sample
+    return mask
+
+
+def _relu(seed):
+    rng = np.random.default_rng(seed)
+    x = _p(rng, (2, 5, 4, 4), "x")
+    # keep entries away from the kink so the difference quotient is valid
+    x.data += 0.1 * np.sign(x.data)
+    return (lambda: _scalarize(ops.relu(x),
+                               np.random.default_rng(seed + 1))), [x]
+
+
+def _kl_div(seed):
+    rng = np.random.default_rng(seed)
+    a = _p(rng, (3, 8), "a", -1.5, 1.5)
+    b = _p(rng, (3, 8), "b", -1.5, 1.5)
+    return (lambda: ops.kl_div(ops.softmax_temp(a, 1.0),
+                               ops.softmax_temp(b, 1.0))), [a, b]
+
+
+def _drop_path(seed):
+    rng = np.random.default_rng(seed)
+    x = _p(rng, (6, 3, 2, 2), "x")
+
+    def fn():
+        # fixed mask across re-evaluations so the quotient is well posed
+        branch = ops.drop_path(ops.gelu(x), rate=0.4, training=True,
+                               rng=np.random.default_rng(seed + 2))
+        return _scalarize(ops.add(x, branch), np.random.default_rng(seed + 1))
+    return fn, [x]
+
+
 def op_suite_cases() -> dict:
     """Name -> builder(seed) returning (fn, params) for grad_check."""
-
-    def conv2d_s1(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 3, 6, 7), "x")
-        w = _p(rng, (4, 3, 3, 3), "w")
-        b = _p(rng, (4,), "b")
-        return (lambda: _scalarize(ops.conv2d(x, w, b, stride=1, padding=1),
-                                   np.random.default_rng(seed + 1))), [x, w, b]
-
-    def conv2d_s2(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 2, 7, 7), "x")
-        w = _p(rng, (3, 2, 3, 3), "w")
-        b = _p(rng, (3,), "b")
-        return (lambda: _scalarize(ops.conv2d(x, w, b, stride=2, padding=1),
-                                   np.random.default_rng(seed + 1))), [x, w, b]
-
-    def conv2d_s2_im2col(seed):
-        # cout > 4*cin takes im2col; conv2d_s2 takes the stride phases
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (1, 2, 6, 5), "x")
-        w = _p(rng, (9, 2, 3, 3), "w")
-        b = _p(rng, (9,), "b")
-        return (lambda: _scalarize(ops.conv2d(x, w, b, stride=2, padding=1),
-                                   np.random.default_rng(seed + 1))), [x, w, b]
-
-    def upsample_conv(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 3, 3, 4), "x")
-        w = _p(rng, (4, 3, 3, 3), "w")
-        b = _p(rng, (4,), "b")
-        return (lambda: _scalarize(ops.upsample2_conv2d(x, w, b),
-                                   np.random.default_rng(seed + 1))), [x, w, b]
-
-    def depthwise(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 4, 6, 6), "x")
-        w = _p(rng, (4, 1, 5, 5), "w")
-        return (lambda: _scalarize(ops.conv2d(x, w, padding=2),
-                                   np.random.default_rng(seed + 1))), [x, w]
-
-    def depthwise_dilated(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 3, 9, 9), "x")
-        w = _p(rng, (3, 1, 3, 3), "w")
-        return (lambda: _scalarize(
-            ops.conv2d(x, w, dilation=2, padding=2),
-            np.random.default_rng(seed + 1))), [x, w]
-
-    def depthwise_mix2(seed):
+    return {
+        "conv2d_stride1": _case(
+            lambda x, w, b: ops.conv2d(x, w, b, stride=1, padding=1),
+            ("x", (2, 3, 6, 7)), ("w", (4, 3, 3, 3)), ("b", (4,))),
+        "conv2d_stride2": _case(
+            lambda x, w, b: ops.conv2d(x, w, b, stride=2, padding=1),
+            ("x", (2, 2, 7, 7)), ("w", (3, 2, 3, 3)), ("b", (3,))),
+        # cout > 4*cin takes im2col; conv2d_stride2 takes the stride phases
+        "conv2d_stride2_im2col": _case(
+            lambda x, w, b: ops.conv2d(x, w, b, stride=2, padding=1),
+            ("x", (1, 2, 6, 5)), ("w", (9, 2, 3, 3)), ("b", (9,))),
+        "conv2d_depthwise": _case(
+            lambda x, w: ops.conv2d(x, w, padding=2),
+            ("x", (2, 4, 6, 6)), ("w", (4, 1, 5, 5))),
+        "conv2d_depthwise_dilated": _case(
+            lambda x, w: ops.conv2d(x, w, dilation=2, padding=2),
+            ("x", (2, 3, 9, 9)), ("w", (3, 1, 3, 3))),
         # the model's dilated mixing conv, k7 d3 "same" padding 9, on an
         # input wide enough that every tap sees data
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (1, 2, 10, 11), "x")
-        w = _p(rng, (2, 1, 7, 7), "w")
-        return (lambda: _scalarize(
-            ops.conv2d(x, w, dilation=3, padding=9),
-            np.random.default_rng(seed + 1))), [x, w]
-
-    def depthwise_wide_pad(seed):
+        "conv2d_depthwise_k7_d3": _case(
+            lambda x, w: ops.conv2d(x, w, dilation=3, padding=9),
+            ("x", (1, 2, 10, 11)), ("w", (2, 1, 7, 7))),
         # padding 5 > d(k-1) = 4: the input gradient crops g
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 3, 5, 6), "x")
-        w = _p(rng, (3, 1, 5, 5), "w")
-        return (lambda: _scalarize(ops.conv2d(x, w, padding=5),
-                                   np.random.default_rng(seed + 1))), [x, w]
-
-    def pointwise(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 5, 4, 4), "x")
-        w = _p(rng, (3, 5, 1, 1), "w")
-        b = _p(rng, (3,), "b")
-        return (lambda: _scalarize(ops.conv2d(x, w, b),
-                                   np.random.default_rng(seed + 1))), [x, w, b]
-
-    def linear_(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (3, 7), "x")
-        w = _p(rng, (4, 7), "w")
-        b = _p(rng, (4,), "b")
-        return (lambda: _scalarize(ops.linear(x, w, b),
-                                   np.random.default_rng(seed + 1))), [x, w, b]
-
-    def layer_norm(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 6, 3, 3), "x")
-        g = _p(rng, (6,), "g", 0.5, 1.5)
-        b = _p(rng, (6,), "b")
-        return (lambda: _scalarize(ops.layer_norm_channels(x, g, b),
-                                   np.random.default_rng(seed + 1))), [x, g, b]
-
-    def relu_(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 5, 4, 4), "x")
-        # keep entries away from the kink so the difference quotient is valid
-        x.data += 0.1 * np.sign(x.data)
-        return (lambda: _scalarize(ops.relu(x),
-                                   np.random.default_rng(seed + 1))), [x]
-
-    def gelu_(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (3, 17), "x", -2.0, 2.0)
-        return (lambda: _scalarize(ops.gelu(x),
-                                   np.random.default_rng(seed + 1))), [x]
-
-    def sigmoid_(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (4, 6), "x", -3.0, 3.0)
-        return (lambda: _scalarize(ops.sigmoid(x),
-                                   np.random.default_rng(seed + 1))), [x]
-
-    def softmax_(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (4, 9), "x", -2.0, 2.0)
-        return (lambda: _scalarize(ops.softmax_temp(x, tau=0.7),
-                                   np.random.default_rng(seed + 1))), [x]
-
-    def kl_(seed):
-        rng = np.random.default_rng(seed)
-        a = _p(rng, (3, 8), "a", -1.5, 1.5)
-        b = _p(rng, (3, 8), "b", -1.5, 1.5)
-        return (lambda: ops.kl_div(ops.softmax_temp(a, 1.0),
-                                   ops.softmax_temp(b, 1.0))), [a, b]
-
-    def masked_pool(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 4, 5, 5), "x")
-        mask = (rng.random((2, 1, 5, 5)) < 0.3).astype(np.float64)
-        mask[:, :, 0, 0] = 1.0  # at least one active site per sample
-        return (lambda: _scalarize(ops.masked_mean_pool(x, mask),
-                                   np.random.default_rng(seed + 1))), [x]
-
-    def gated(seed):
-        rng = np.random.default_rng(seed)
-        g = _p(rng, (2, 3), "g", 0.1, 0.9)
-        f = _p(rng, (2, 3, 4, 4), "f")
-        u = _p(rng, (2, 3, 4, 4), "u")
-        return (lambda: _scalarize(ops.gated_product(g, f, u),
-                                   np.random.default_rng(seed + 1))), [g, f, u]
-
-    def gated_no_base(seed):
-        rng = np.random.default_rng(seed)
-        g = _p(rng, (2, 3), "g", 0.1, 0.9)
-        f = _p(rng, (2, 3, 4, 4), "f")
-        return (lambda: _scalarize(ops.gated_product(g, f),
-                                   np.random.default_rng(seed + 1))), [g, f]
-
-    def framediff(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (2, 5, 3, 3), "x")
-        return (lambda: _scalarize(ops.frame_diff(x),
-                                   np.random.default_rng(seed + 1))), [x]
-
-    def arithmetic_chain(seed):
-        rng = np.random.default_rng(seed)
-        a = _p(rng, (2, 3, 4), "a")
-        b = _p(rng, (2, 3, 4), "b")
-
-        def fn():
-            s = ops.add(a, ops.scale(b, 1.7))
-            r = ops.reshape(s, (2, 12))
-            return _scalarize(r, np.random.default_rng(seed + 1))
-        return fn, [a, b]
-
-    def focal(seed):
-        rng = np.random.default_rng(seed)
-        logits = _p(rng, (2, 3, 4, 4), "s", -3.0, 3.0)
-        y = (rng.random((2, 3, 4, 4)) < 0.4).astype(np.float64)
-        return (lambda: _scalarize(
-            ops.focal_loss_map(logits, y, alpha=0.75, gamma=2.0),
-            np.random.default_rng(seed + 1))), [logits]
-
-    def focal_gamma0(seed):
-        rng = np.random.default_rng(seed)
-        logits = _p(rng, (2, 2, 3, 3), "s", -3.0, 3.0)
-        y = (rng.random((2, 2, 3, 3)) < 0.5).astype(np.float64)
-        return (lambda: _scalarize(
-            ops.focal_loss_map(logits, y, alpha=0.5, gamma=0.0),
-            np.random.default_rng(seed + 1))), [logits]
-
-    def focal_gamma_half(seed):
-        rng = np.random.default_rng(seed)
-        logits = _p(rng, (2, 3, 3, 4), "s", -4.0, 4.0)
-        y = (rng.random((2, 3, 3, 4)) < 0.3).astype(np.float64)
-        return (lambda: _scalarize(
-            ops.focal_loss_map(logits, y, alpha=0.25, gamma=0.5),
-            np.random.default_rng(seed + 1))), [logits]
-
-    def droppath(seed):
-        rng = np.random.default_rng(seed)
-        x = _p(rng, (6, 3, 2, 2), "x")
-
-        def fn():
-            # fixed mask across re-evaluations so the quotient is well posed
-            branch = ops.drop_path(ops.gelu(x), rate=0.4, training=True,
-                                   rng=np.random.default_rng(seed + 2))
-            return _scalarize(ops.add(x, branch),
-                              np.random.default_rng(seed + 1))
-        return fn, [x]
-
-    return {
-        "conv2d_stride1": conv2d_s1,
-        "conv2d_stride2": conv2d_s2,
-        "conv2d_stride2_im2col": conv2d_s2_im2col,
-        "conv2d_depthwise": depthwise,
-        "conv2d_depthwise_dilated": depthwise_dilated,
-        "conv2d_depthwise_k7_d3": depthwise_mix2,
-        "conv2d_depthwise_k5_pad5": depthwise_wide_pad,
-        "conv2d_pointwise": pointwise,
-        "linear": linear_,
-        "layer_norm_channels": layer_norm,
-        "relu": relu_,
-        "gelu": gelu_,
-        "sigmoid": sigmoid_,
-        "softmax_temp": softmax_,
-        "kl_div": kl_,
-        "masked_mean_pool": masked_pool,
-        "gated_product": gated,
-        "gated_product_no_base": gated_no_base,
-        "upsample2_conv2d": upsample_conv,
-        "frame_diff": framediff,
-        "add_scale_reshape": arithmetic_chain,
-        "focal_loss_map": focal,
-        "focal_loss_map_gamma0": focal_gamma0,
-        "focal_loss_map_gamma_half": focal_gamma_half,
-        "drop_path": droppath,
+        "conv2d_depthwise_k5_pad5": _case(
+            lambda x, w: ops.conv2d(x, w, padding=5),
+            ("x", (2, 3, 5, 6)), ("w", (3, 1, 5, 5))),
+        "conv2d_pointwise": _case(
+            ops.conv2d, ("x", (2, 5, 4, 4)), ("w", (3, 5, 1, 1)), ("b", (3,))),
+        "linear": _case(
+            ops.linear, ("x", (3, 7)), ("w", (4, 7)), ("b", (4,))),
+        "layer_norm_channels": _case(
+            ops.layer_norm_channels,
+            ("x", (2, 6, 3, 3)), ("g", (6,), 0.5, 1.5), ("b", (6,))),
+        "relu": _relu,
+        "gelu": _case(ops.gelu, ("x", (3, 17), -2.0, 2.0)),
+        "sigmoid": _case(ops.sigmoid, ("x", (4, 6), -3.0, 3.0)),
+        "softmax_temp": _case(lambda x: ops.softmax_temp(x, tau=0.7),
+                              ("x", (4, 9), -2.0, 2.0)),
+        "kl_div": _kl_div,
+        "masked_mean_pool": _case(ops.masked_mean_pool, ("x", (2, 4, 5, 5)),
+                                  const=_pool_mask),
+        "gated_product": _case(
+            ops.gated_product, ("g", (2, 3), 0.1, 0.9),
+            ("f", (2, 3, 4, 4)), ("u", (2, 3, 4, 4))),
+        "gated_product_no_base": _case(
+            ops.gated_product, ("g", (2, 3), 0.1, 0.9), ("f", (2, 3, 4, 4))),
+        "upsample2_conv2d": _case(
+            ops.upsample2_conv2d,
+            ("x", (2, 3, 3, 4)), ("w", (4, 3, 3, 3)), ("b", (4,))),
+        "frame_diff": _case(ops.frame_diff, ("x", (2, 5, 3, 3))),
+        "add_scale_reshape": _case(
+            lambda a, b: ops.reshape(ops.add(a, ops.scale(b, 1.7)), (2, 12)),
+            ("a", (2, 3, 4)), ("b", (2, 3, 4))),
+        "focal_loss_map": _case(
+            lambda s, y: ops.focal_loss_map(s, y, alpha=0.75, gamma=2.0),
+            ("s", (2, 3, 4, 4), -3.0, 3.0), const=_mask((2, 3, 4, 4), 0.4)),
+        "focal_loss_map_gamma0": _case(
+            lambda s, y: ops.focal_loss_map(s, y, alpha=0.5, gamma=0.0),
+            ("s", (2, 2, 3, 3), -3.0, 3.0), const=_mask((2, 2, 3, 3), 0.5)),
+        "focal_loss_map_gamma_half": _case(
+            lambda s, y: ops.focal_loss_map(s, y, alpha=0.25, gamma=0.5),
+            ("s", (2, 3, 3, 4), -4.0, 4.0), const=_mask((2, 3, 3, 4), 0.3)),
+        "drop_path": _drop_path,
     }
 
 

@@ -1,8 +1,12 @@
 """Differentiable array operations recorded on the active tape.
 
-Every op computes its forward result eagerly with numpy and, when a tape
-is active and some input tracks gradients, registers a closure that pulls
-the output gradient and accumulates into the inputs.
+An op computes its forward result eagerly with numpy and returns
+_track(data, inputs, vjp). vjp(g) is its vector-Jacobian product: given
+the output gradient g, it returns or yields one gradient per input, in
+input order, None for an input that needs none. _track alone checks for an
+active tape, records the node and adds the gradients into the inputs. Each
+op also has a _case row in gradcheck.op_suite_cases, which checks its vjp
+against central differences.
 
 One convolution op, conv2d, picks its kernel from the weight's shape.
 Forward times are medians of 15 calls at the full-config forecast shapes on
@@ -58,16 +62,35 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; names the bad dimension."""
 
 
-def _recording(*inputs: Tensor) -> bool:
-    """Whether an op on these inputs records onto the active tape."""
-    return active_tape() is not None and any(t.requires_grad for t in inputs)
+def _track(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+    """Wrap an op's forward result; record its backward on the active tape
+    when some input (a Tensor or None) needs a gradient.
 
+    The node keeps only the inputs that need a gradient. Backward pulls the
+    gradients from vjp(out.grad) one at a time and frees each once it is
+    added, so a generator vjp holds one large gradient at a time. It stops
+    after the last input that needs a gradient; a vjp checks requires_grad
+    itself for an earlier input whose gradient is costly to make.
+    """
+    tape = active_tape()
+    if tape is None:
+        return Tensor(data)
+    need = [t if t is not None and t.requires_grad else None for t in inputs]
+    while need and need[-1] is None:
+        need.pop()
+    if not need:
+        return Tensor(data)
+    out = Tensor(data, requires_grad=True)
 
-def _track(data: np.ndarray, *inputs: Tensor):
-    """Wrap a result; return (out, tape) with tape=None when not recording."""
-    recording = _recording(*inputs)
-    out = Tensor(data, requires_grad=recording)
-    return out, (active_tape() if recording else None)
+    def backward():
+        grads = iter(vjp(out.grad))
+        for t in need:
+            g = next(grads)
+            if t is not None and g is not None:
+                t.accumulate_grad(g)
+            del g
+    tape.record(out, backward)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +101,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: operand shapes {a.shape} != {b.shape}")
-    out, tape = _track(a.data + b.data, a, b)
-    if tape is not None:
-        def backward():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad)
-            if b.requires_grad:
-                b.accumulate_grad(out.grad)
-        tape.record(out, backward)
-    return out
+    return _track(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def scale(x: Tensor, factor: Union[float, np.ndarray]) -> Tensor:
@@ -95,35 +110,21 @@ def scale(x: Tensor, factor: Union[float, np.ndarray]) -> Tensor:
     data = x.data * factor
     if data.shape != x.shape:
         raise ShapeError(f"scale: factor broadcasts {x.shape} to {data.shape}")
-    out, tape = _track(data, x)
-    if tape is not None:
-        def backward():
-            x.accumulate_grad(out.grad * factor)
-        tape.record(out, backward)
-    return out
+    return _track(data, (x,), lambda g: (g * factor,))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     x = as_tensor(x)
-    out, tape = _track(x.data.reshape(shape), x)
-    if tape is not None:
-        in_shape = x.shape
-
-        def backward():
-            x.accumulate_grad(out.grad.reshape(in_shape))
-        tape.record(out, backward)
-    return out
+    in_shape = x.shape
+    return _track(x.data.reshape(shape), (x,),
+                  lambda g: (g.reshape(in_shape),))
 
 
 def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
     """Scalar sum(x * weights) with constant weights (broadcastable to x)."""
     x = as_tensor(x)
-    out, tape = _track(np.asarray((x.data * weights).sum(), dtype=x.dtype), x)
-    if tape is not None:
-        def backward():
-            x.accumulate_grad(out.grad * weights)
-        tape.record(out, backward)
-    return out
+    return _track(np.asarray((x.data * weights).sum(), dtype=x.dtype), (x,),
+                  lambda g: (g * weights,))
 
 
 def frame_diff(x: Tensor) -> Tensor:
@@ -131,39 +132,24 @@ def frame_diff(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.shape[1] < 2:
         raise ShapeError(f"frame_diff: axis 1 needs >= 2 entries, got {x.shape[1]}")
-    out, tape = _track(x.data[:, 1:] - x.data[:, :-1], x)
-    if tape is not None:
-        def backward():
-            g = np.zeros_like(x.data)
-            g[:, 1:] += out.grad
-            g[:, :-1] -= out.grad
-            x.accumulate_grad(g)
-        tape.record(out, backward)
-    return out
+
+    def vjp(g):
+        dx = np.zeros_like(x.data)
+        dx[:, 1:] += g
+        dx[:, :-1] -= g
+        return (dx,)
+    return _track(x.data[:, 1:] - x.data[:, :-1], (x,), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out, tape = _track(np.maximum(x.data, 0.0), x)
-    if tape is not None:
-        mask = x.data > 0
-
-        def backward():
-            x.accumulate_grad(out.grad * mask)
-        tape.record(out, backward)
-    return out
+    return _track(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out, tape = _track(_sigmoid(x.data), x)
-    if tape is not None:
-        s = out.data
-
-        def backward():
-            x.accumulate_grad(out.grad * s * (1.0 - s))
-        tape.record(out, backward)
-    return out
+    s = _sigmoid(x.data)
+    return _track(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -173,15 +159,14 @@ def gelu(x: Tensor) -> Tensor:
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    # the backward needs cdf; without a tape the product overwrites it
-    data = np.multiply(x.data, cdf, out=None if _recording(x) else cdf)
-    out, tape = _track(data, x)
-    if tape is not None:
-        def backward():
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-            x.accumulate_grad(out.grad * (cdf + x.data * pdf))
-        tape.record(out, backward)
-    return out
+    # the backward needs cdf; an input without a gradient never records,
+    # so the product may overwrite it
+    data = np.multiply(x.data, cdf, out=None if x.requires_grad else cdf)
+
+    def vjp(g):
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
+        return (g * (cdf + x.data * pdf),)
+    return _track(data, (x,), vjp)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -213,19 +198,12 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     data = x.data @ weight.data.T
     if bias is not None:
         data = data + bias.data
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    out, tape = _track(data, *inputs)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if x.requires_grad:
-                x.accumulate_grad(g @ weight.data)
-            if weight.requires_grad:
-                weight.accumulate_grad(g.T @ x.data)
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(g.sum(axis=0))
-        tape.record(out, backward)
-    return out
+
+    def vjp(g):
+        yield g @ weight.data if x.requires_grad else None
+        yield g.T @ x.data if weight.requires_grad else None
+        yield g.sum(axis=0)
+    return _track(data, (x, weight, bias), vjp)
 
 
 def _conv_geometry(h: int, w: int, k: int, stride: int, padding: int,
@@ -259,7 +237,7 @@ def _tap(xp: np.ndarray, i: int, j: int, stride: int, h_out: int, w_out: int):
 
 def _conv_op(name: str, x: Tensor, weight: Tensor, bias: Optional[Tensor],
              data: np.ndarray, grads) -> Tensor:
-    """Add the bias to a convolution result and record its backward.
+    """Add the bias to a convolution result and track it.
 
     grads(g, xd, wd, need_dx=, need_dw=) -> (dx, dw) recomputes its buffers
     from x.data and weight.data, so the tape holds no padded copies.
@@ -270,21 +248,12 @@ def _conv_op(name: str, x: Tensor, weight: Tensor, bias: Optional[Tensor],
             raise ShapeError(
                 f"{name}: bias shape {bias.shape} != out channel dim ({cout},)")
         data = data + bias.data[None, :, None, None]
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    out, tape = _track(np.ascontiguousarray(data), *inputs)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            dx, dw = grads(g, x.data, weight.data, need_dx=x.requires_grad,
-                           need_dw=weight.requires_grad)
-            if dw is not None:
-                weight.accumulate_grad(dw)
-            if dx is not None:
-                x.accumulate_grad(dx)
-        tape.record(out, backward)
-    return out
+
+    def vjp(g):
+        yield from grads(g, x.data, weight.data, need_dx=x.requires_grad,
+                         need_dw=weight.requires_grad)
+        yield g.sum(axis=(0, 2, 3))
+    return _track(np.ascontiguousarray(data), (x, weight, bias), vjp)
 
 
 # Per-tap GEMMs on the flattened padded input, at any stride s. The padded
@@ -615,22 +584,20 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
     xn *= inv
     np.multiply(gamma.data[None, :, None, None], xn, out=data)
     data += beta.data[None, :, None, None]
-    out, tape = _track(data, x, gamma, beta)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if gamma.requires_grad:
-                gamma.accumulate_grad(np.einsum('bchw,bchw->c', g, xn,
-                                                optimize=True))
-            if beta.requires_grad:
-                beta.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                gn = g * gamma.data[None, :, None, None]
-                m1 = gn.mean(axis=1, keepdims=True)
-                m2 = (gn * xn).mean(axis=1, keepdims=True)
-                x.accumulate_grad(inv * (gn - m1 - xn * m2))
-        tape.record(out, backward)
-    return out
+
+    def vjp(g):
+        if x.requires_grad:
+            gn = g * gamma.data[None, :, None, None]
+            m1 = gn.mean(axis=1, keepdims=True)
+            m2 = (gn * xn).mean(axis=1, keepdims=True)
+            gn -= m1
+            yield inv * (gn - xn * m2)
+            del gn
+        else:
+            yield None
+        yield np.einsum('bchw,bchw->c', g, xn, optimize=True)
+        yield g.sum(axis=(0, 2, 3))
+    return _track(data, (x, gamma, beta), vjp)
 
 
 def _phase_folds(k: int, dtype) -> tuple[int, list, np.ndarray]:
@@ -733,14 +700,11 @@ def softmax_temp(x: Tensor, tau: float) -> Tensor:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
-    out, tape = _track(p, x)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            x.accumulate_grad((g - dot) * p / tau)
-        tape.record(out, backward)
-    return out
+
+    def vjp(g):
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        return ((g - dot) * p / tau,)
+    return _track(p, (x,), vjp)
 
 
 def kl_div(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
@@ -766,21 +730,18 @@ def kl_div(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
     lr -= np.log(lq, out=lq)               # lp - lq
     del lq
     val = np.asarray((p.data * lr).sum(), dtype=p.dtype)
-    out, tape = _track(val, p, q)
-    if tape is not None:
-        # each input's derivative without the factor out.grad
-        derivs = []
-        if p.requires_grad:
-            lr += p.data / (p.data + eps)
-            derivs.append((p, lr))
-        if q.requires_grad:
-            derivs.append((q, -p.data / (q.data + eps)))
-
-        def backward():
-            for t, d in derivs:
-                t.accumulate_grad(out.grad * d)
-        tape.record(out, backward)
-    return out
+    # each input's derivative without the factor out.grad, each quotient
+    # in one buffer (as expressions, they made a train step's memory peak)
+    dp = dq = None
+    if p.requires_grad:
+        pe = np.add(p.data, eps)
+        lr += np.divide(p.data, pe, out=pe)
+        dp = lr
+    if q.requires_grad:
+        dq = np.add(q.data, eps)
+        np.negative(np.divide(p.data, dq, out=dq), out=dq)
+    return _track(val, (p, q), lambda g: (None if d is None else g * d
+                                          for d in (dp, dq)))
 
 
 # ---------------------------------------------------------------------------
@@ -799,13 +760,8 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray, eps: float = 1e-8) -> Tensor:
             f"masked_mean_pool: mask shape {mask.shape} incompatible with {x.shape}")
     den = mask.sum(axis=(2, 3)) + eps            # [B,1]
     num = (x.data * mask).sum(axis=(2, 3))       # [B,C]
-    out, tape = _track(num / den, x)
-    if tape is not None:
-        def backward():
-            x.accumulate_grad(
-                out.grad[:, :, None, None] * (mask / den[:, :, None, None]))
-        tape.record(out, backward)
-    return out
+    return _track(num / den, (x,), lambda g: (
+        g[:, :, None, None] * (mask / den[:, :, None, None]),))
 
 
 def gated_product(gate: Tensor, features: Tensor,
@@ -813,7 +769,8 @@ def gated_product(gate: Tensor, features: Tensor,
     """gate[B,C] (broadcast over space) * features, optionally * (1 + base).
 
     The three-factor form is the multiplicative-residual interaction; with
-    base=None it degrades to a plain channel gate (ablation switch).
+    base=None it degrades to a plain channel gate (ablation switch): the
+    factor is then 1.0, and x * 1.0 == x exactly.
     """
     gate, features = as_tensor(gate), as_tensor(features)
     if len(features.shape) != 4:
@@ -823,39 +780,21 @@ def gated_product(gate: Tensor, features: Tensor,
         raise ShapeError(
             f"gated_product: gate shape {gate.shape} != feature channels "
             f"{features.shape[:2]}")
+    onep = 1.0
+    if base is not None:
+        base = as_tensor(base)
+        if base.shape != features.shape:
+            raise ShapeError(f"gated_product: base shape {base.shape} != "
+                             f"features {features.shape}")
+        onep = 1.0 + base.data
     g4 = gate.data[:, :, None, None]
-    if base is None:
-        data = g4 * features.data
-        out, tape = _track(data, gate, features)
-        if tape is not None:
-            def backward():
-                g = out.grad
-                if gate.requires_grad:
-                    gate.accumulate_grad((g * features.data).sum(axis=(2, 3)))
-                if features.requires_grad:
-                    features.accumulate_grad(g * g4)
-            tape.record(out, backward)
-        return out
 
-    base = as_tensor(base)
-    if base.shape != features.shape:
-        raise ShapeError(
-            f"gated_product: base shape {base.shape} != features {features.shape}")
-    onep = 1.0 + base.data
-    data = g4 * features.data * onep
-    out, tape = _track(data, gate, features, base)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if gate.requires_grad:
-                gate.accumulate_grad(
-                    (g * features.data * onep).sum(axis=(2, 3)))
-            if features.requires_grad:
-                features.accumulate_grad(g * g4 * onep)
-            if base.requires_grad:
-                base.accumulate_grad(g * g4 * features.data)
-        tape.record(out, backward)
-    return out
+    def vjp(g):
+        yield ((g * features.data * onep).sum(axis=(2, 3))
+               if gate.requires_grad else None)
+        yield g * g4 * onep if features.requires_grad else None
+        yield g * g4 * features.data
+    return _track(g4 * features.data * onep, (gate, features, base), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -922,16 +861,16 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     sf /= e                                # 1 - sigmoid(t)
     sfg = np.power(sf, gamma, out=e)
     data = np.empty_like(s)
-    recording = _recording(logits)
-    if recording:
+    # logits without a gradient never record, and need no derivative
+    if logits.requires_grad:
         # sf is needed only as sf/(st+eps); data is the scratch for st+eps
         np.divide(sf, np.add(st, eps, out=data), out=sf)
     np.multiply(yf, 1.0 - 2.0 * alpha, out=data)
     data += alpha - 1.0                    # -w
     data *= sfg
     data *= logt
-    out, tape = _track(data.reshape(logits.shape), logits)
-    if recording:
+    d = None
+    if logits.requires_grad:
         # dL/dt = w*st*sfg*(gamma*logt - sf/(st+eps)); sign*w = y+alpha-1
         d = np.multiply(logt, gamma, out=logt)
         d -= sf
@@ -939,12 +878,11 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
         d *= sfg
         d *= np.add(yf, alpha - 1.0, out=sf)
 
-        def backward():
-            # the tape is single-use, so d can take the product in place
-            np.multiply(d, out.grad.reshape(-1), out=d)
-            logits.accumulate_grad(d.reshape(logits.shape))
-        tape.record(out, backward)
-    return out
+    def vjp(g):
+        # the tape is single-use, so d can take the product in place
+        np.multiply(d, g.reshape(-1), out=d)
+        return (d.reshape(logits.shape),)
+    return _track(data.reshape(logits.shape), (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .events import (DEFAULT_BIN_US, OccurrenceTensor, bin_events,
                      random_bar_scene, read_ocm, synth_scene, write_ocm)
 from .losses import LossConfig, total_loss
 from .metrics import MetricAccumulator, binarize, is_binary
-from .model import ModelConfig, TideModel, save_checkpoint
+from .model import ModelConfig, TideModel, count_params, save_checkpoint
 from .numerics import Tape, Tensor, ops
 from .util import atomic_write_bytes
 
@@ -183,13 +183,15 @@ class SequenceDataset:
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray,
                  bin_duration: int = DEFAULT_BIN_US):
-        inputs = np.ascontiguousarray(inputs, dtype=np.uint8)
-        targets = np.ascontiguousarray(targets, dtype=np.uint8)
+        # checked as given: a cast to uint8 first would read 0.5 as 0
+        inputs, targets = np.asarray(inputs), np.asarray(targets)
         for name, arr in (("inputs", inputs), ("targets", targets)):
             if arr.ndim != 5 or arr.shape[2] != 2:
                 raise ValueError(f"{name} must be [N,T,2,H,W], got {arr.shape}")
             if not is_binary(arr):
                 raise ValueError(f"{name} must be binary")
+        inputs = np.ascontiguousarray(inputs, dtype=np.uint8)
+        targets = np.ascontiguousarray(targets, dtype=np.uint8)
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError("inputs and targets disagree on sequence count")
         if inputs.shape[3:] != targets.shape[3:]:
@@ -499,5 +501,5 @@ def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
         "median_ms": float(np.median(times)),
         "p95_ms": float(np.percentile(times, 95)),
         "traced_peak_bytes": traced_peak,
-        "n_params": sum(p.data.size for p in model.parameters()),
+        "n_params": count_params(model),
     }

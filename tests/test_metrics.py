@@ -277,22 +277,6 @@ class TestAccumulator:
         assert out["aiou"] == pytest.approx(
             iou_oracle(pred.any(axis=1), gt.any(axis=1)))
 
-    def test_merge_equals_single_pass(self):
-        rng = np.random.default_rng(19)
-        pred = (rng.random((6, 2, 12, 12)) < 0.4).astype(np.uint8)
-        gt = (rng.random((6, 2, 12, 12)) < 0.4).astype(np.uint8)
-        probs = rng.random((6, 2, 12, 12))
-
-        whole = MetricAccumulator()
-        whole.update(pred, gt, probs)
-        left, right = MetricAccumulator(), MetricAccumulator()
-        left.update(pred[:3], gt[:3], probs[:3])
-        right.update(pred[3:], gt[3:], probs[3:])
-        left.merge(right)
-        a, b = whole.finalize(), left.finalize()
-        for key in a:
-            assert a[key] == pytest.approx(b[key], abs=1e-12), key
-
     def test_rejects_nonbinary(self):
         # unsigned arrays are checked by their maximum, the rest element-wise
         ok = np.zeros((1, 2, 4, 4), dtype=np.uint8)

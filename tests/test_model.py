@@ -9,6 +9,7 @@ from etide.model import (CheckpointError, ModelConfig, TideModel,
                          count_params, init_params, load_checkpoint,
                          pack_time, save_checkpoint, unpack_time)
 from etide.numerics import Tensor, ops
+from etide.training import predict
 from etide.util import config_from_text
 
 
@@ -212,7 +213,7 @@ class TestDecodeForward:
         cfg = tiny_config()
         model = init_params(cfg, seed=0)
         x = np.zeros((1, cfg.t_in, 2, cfg.height, cfg.width), dtype=np.float32)
-        probs = model.predict_proba(x)
+        probs = predict(model, x)
         assert np.allclose(probs, 0.5, atol=1e-6)
 
     def test_forward_shape_small(self):

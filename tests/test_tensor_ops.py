@@ -4,6 +4,7 @@ Expected values come from independent oracles implemented here with plain
 nested loops and sorting, not from the library code under test.
 """
 
+import inspect
 import math
 import weakref
 
@@ -790,6 +791,28 @@ class TestGradients:
             fn, params = builder(seed)
             err = grad_check(fn, params)
             assert err < 1e-5, f"{name} seed {seed}: rel err {err}"
+
+    def test_op_suite_covers_every_op(self, monkeypatch):
+        # a new op cannot land without a case row; quantile_nearest_rank
+        # has no gradient
+        names = [name for name, fn in vars(ops).items()
+                 if inspect.isfunction(fn) and fn.__module__ == ops.__name__
+                 and not name.startswith("_")
+                 and name != "quantile_nearest_rank"]
+        assert "conv2d" in names and "focal_loss_map" in names
+        called = set()
+
+        def recorder(name, fn):
+            def recorded(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+            return recorded
+        for name in names:
+            monkeypatch.setattr(ops, name, recorder(name, getattr(ops, name)))
+        for builder in op_suite_cases().values():
+            fn, _ = builder(0)
+            fn()
+        assert sorted(set(names) - called) == []
 
     def test_grad_accumulates_across_uses(self):
         # same tensor consumed twice: gradients must add

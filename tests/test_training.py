@@ -221,11 +221,14 @@ class TestDataset:
         assert tr == [0] and va == []
 
     def test_rejects_nonbinary(self):
-        # values are cast to uint8 first, so -1 arrives as 255
+        # checked as given: a uint8 cast first would read -1 as 255, and
+        # 0.5 as 0, 1.7 as 1 and 256.0 as 0
         ok = np.zeros((1, 2, 2, 4, 4), dtype=np.uint8)
         for bad in (np.full(ok.shape, 3, dtype=np.uint8),
                     np.full(ok.shape, 2, dtype=np.uint8),
-                    np.full(ok.shape, -1, dtype=np.int8)):
+                    np.full(ok.shape, -1, dtype=np.int8),
+                    np.full(ok.shape, 0.5), np.full(ok.shape, 1.7),
+                    np.full(ok.shape, 256.0)):
             for side, args in (("inputs", (bad, ok)), ("targets", (ok, bad))):
                 with pytest.raises(ValueError,
                                    match=f"^{side} must be binary$"):
