@@ -3,8 +3,10 @@
 A shared-weight strided-conv encoder turns each input frame into a small
 feature map, time is packed into channels (D = T_in * C_s), a stack of
 mixing blocks interacts the packed tensor with purely 2-D operators, and an
-upsampling decoder emits T_out * 2 logit maps in one pass. Blocks are
-pre-norm residual:
+upsampling decoder emits T_out * 2 logit maps in one pass. An enc0
+window that holds no event reuses one constant vector, gelu(LN(bias)),
+so the stem computes only the windows with events. Blocks are pre-norm
+residual:
 
     U' = U  + droppath(core(LN(U)))
     out = U' + droppath(ffn(LN(U')))
@@ -167,7 +169,12 @@ class TideModel:
         b = x.shape[0]
         h = ops.reshape(x, (b * cfg.t_in, 2, cfg.height, cfg.width))
         pad = (cfg.k_resample - 1) // 2
-        for i in range(cfg.stages):
+        # the stem sees the sparse event maps and computes only the windows
+        # that hold events
+        h = ops.conv_ln_gelu(h, self["enc0.conv.w"], self["enc0.conv.b"],
+                             self["enc0.ln.g"], self["enc0.ln.b"],
+                             stride=2, padding=pad)
+        for i in range(1, cfg.stages):
             h = ops.conv2d(h, self[f"enc{i}.conv.w"], self[f"enc{i}.conv.b"],
                            stride=2, padding=pad)
             h = ops.layer_norm_channels(h, self[f"enc{i}.ln.g"],

@@ -117,6 +117,15 @@ def _pool_mask(rng):
     return mask
 
 
+def _stem_events(rng):
+    """Two 2x2 event patches: 4 of each sample's 16 stem windows see
+    events, so conv_ln_gelu takes its sparse route."""
+    mask = np.zeros((2, 2, 8, 8))
+    mask[0, :, 2:4, 2:4] = 1.0
+    mask[1, 1, 5:7, 1:3] = 1.0
+    return mask
+
+
 def _relu(seed):
     rng = np.random.default_rng(seed)
     x = _p(rng, (2, 5, 4, 4), "x")
@@ -197,6 +206,11 @@ def op_suite_cases() -> dict:
         "upsample2_conv2d": _case(
             ops.upsample2_conv2d,
             ("x", (2, 3, 3, 4)), ("w", (4, 3, 3, 3)), ("b", (4,))),
+        "conv_ln_gelu_sparse": _case(
+            lambda x, w, b, g, be, events: ops.conv_ln_gelu(
+                ops.scale(x, events), w, b, g, be, stride=2, padding=1),
+            ("x", (2, 2, 8, 8)), ("w", (9, 2, 3, 3)), ("b", (9,)),
+            ("g", (9,), 0.5, 1.5), ("be", (9,)), const=_stem_events),
         "frame_diff": _case(ops.frame_diff, ("x", (2, 5, 3, 3))),
         "add_scale_reshape": _case(
             lambda a, b: ops.reshape(ops.add(a, ops.scale(b, 1.7)), (2, 12)),

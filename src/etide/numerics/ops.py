@@ -4,9 +4,10 @@ An op computes its forward result eagerly with numpy and returns
 _track(data, inputs, vjp). vjp(g) is its vector-Jacobian product: given
 the output gradient g, it returns or yields one gradient per input, in
 input order, None for an input that needs none. _track alone checks for an
-active tape, records the node and adds the gradients into the inputs. Each
-op also has a _case row in gradcheck.op_suite_cases, which checks its vjp
-against central differences.
+active tape, records the node and adds the gradients into the inputs; an op
+that saves buffers only for its backward asks _recording(inputs) first.
+Each op also has a _case row in gradcheck.op_suite_cases, which checks its
+vjp against central differences.
 
 One convolution op, conv2d, picks its kernel from the weight's shape.
 Forward times are medians of 15 calls at the full-config forecast shapes on
@@ -24,6 +25,22 @@ a 2-vCPU VM, against one tensordot per tap before:
   loop before (full-config k5: 2.2-3.0 -> 0.6-0.9 ms, dilated k7:
   4.1-5.2 -> 1.5 ms); its backward is one more einsum for dw and the
   same kernel on the gradient for dx.
+
+conv_ln_gelu, the model's stem (enc0: conv -> layer norm -> GELU, 2 -> 32
+channels at stride 2), computes only the output locations whose input
+window holds a nonzero value, as the columns of one im2col GEMM, then LN
+and GELU channel-major; every other location gets the background
+gelu(LN(bias)). The bytes are those of the three ops:
+
+* full-config forecast windows, 4-14% of locations active: 3.0-7.6 ms
+  against 24-28 ms for conv2d, layer_norm_channels and gelu; under a tape
+  at the learning-check config (batch 4, 5% active), forward 25 against
+  53 ms, with the same dense backward;
+* random events at the same shape: 60% active, 31.7 against 34.6 ms;
+  77%, 38.9 against 35.1 ms; 99% (etide bench's input), 55 against 41 ms.
+  Above 50% active, when conv2d would not take im2col, or when an output
+  plane is not a whole number of 8-column GEMM groups, it runs the three
+  ops' dense kernels instead.
 
 upsample2_conv2d, a nearest-2x upsample followed by a "same" conv, runs
 four sub-pixel stride-1 convs on the low-resolution input with summed
@@ -62,6 +79,14 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; names the bad dimension."""
 
 
+def _recording(inputs: tuple) -> bool:
+    """Whether _track will record a node for these inputs: some input needs
+    a gradient and a tape is active. An op that saves buffers only for its
+    backward can skip them otherwise."""
+    return active_tape() is not None and any(
+        t is not None and t.requires_grad for t in inputs)
+
+
 def _track(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     """Wrap an op's forward result; record its backward on the active tape
     when some input (a Tensor or None) needs a gradient.
@@ -72,14 +97,11 @@ def _track(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     after the last input that needs a gradient; a vjp checks requires_grad
     itself for an earlier input whose gradient is costly to make.
     """
-    tape = active_tape()
-    if tape is None:
+    if not _recording(inputs):
         return Tensor(data)
     need = [t if t is not None and t.requires_grad else None for t in inputs]
-    while need and need[-1] is None:
+    while need[-1] is None:
         need.pop()
-    if not need:
-        return Tensor(data)
     out = Tensor(data, requires_grad=True)
 
     def backward():
@@ -89,7 +111,7 @@ def _track(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
             if t is not None and g is not None:
                 t.accumulate_grad(g)
             del g
-    tape.record(out, backward)
+    active_tape().record(out, backward)
     return out
 
 
@@ -155,18 +177,27 @@ def sigmoid(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
     x = as_tensor(x)
-    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = _gelu_cdf(x.data)
     # the backward needs cdf; an input without a gradient never records,
     # so the product may overwrite it
     data = np.multiply(x.data, cdf, out=None if x.requires_grad else cdf)
+    return _track(data, (x,), lambda g: (_gelu_grad(g, x.data, cdf),))
 
-    def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
-    return _track(data, (x,), vjp)
+
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2 in a new array. _INV_SQRT2 is a
+    Python float, so float32 stays float32 (an np.float64 factor would
+    promote)."""
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return g * (cdf + x * pdf)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -477,11 +508,11 @@ def _depthwise_windows(x: np.ndarray, k: int, dilation: int,
     return view, h_out, w_out
 
 
-def _depthwise(x: np.ndarray, wk: np.ndarray, dilation: int,
+def _depthwise(x: np.ndarray, wd: np.ndarray, dilation: int,
                padding: int) -> np.ndarray:
-    """Depthwise correlation of x[B, C, H, W] with wk[C, k, k]."""
-    view, h_out, w_out = _depthwise_windows(x, wk.shape[-1], dilation, padding)
-    out = np.einsum('bcijn,cij->bcn', view, wk)
+    """Depthwise correlation of x[B, C, H, W] with wd[C, 1, k, k]."""
+    view, h_out, w_out = _depthwise_windows(x, wd.shape[-1], dilation, padding)
+    out = np.einsum('bcijn,cij->bcn', view, wd[:, 0])
     return out.reshape(*x.shape[:2], w_out, h_out).transpose(0, 1, 3, 2)
 
 
@@ -496,7 +527,7 @@ def _depthwise_grads(g, xd, wd, dilation, padding, need_dx, need_dw):
     if need_dx:
         # the forward kernel on g with the kernel flipped: full padding
         # d(k-1) less the forward's, a crop when the forward padded more
-        dx = _depthwise(g, wd[:, 0, ::-1, ::-1], dilation,
+        dx = _depthwise(g, wd[:, :, ::-1, ::-1], dilation,
                         dilation * (k - 1) - padding)
     return dx, dw
 
@@ -531,36 +562,47 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     with the kernel flipped and padding d(k-1) - padding (a crop when
     negative).
     """
-    x, weight = _conv_operands("conv2d", x, weight)
-    for name, value, least in (("stride", stride, 1), ("padding", padding, 0),
-                               ("dilation", dilation, 1)):
+    x, weight, conv, grads = _conv_route("conv2d", x, weight, stride,
+                                         padding, dilation)
+    return _conv_op("conv2d", x, weight, bias, conv(x.data, weight.data),
+                    grads)
+
+
+def _conv_route(name: str, x: Tensor, weight: Tensor, stride: int,
+                padding: int, dilation: int = 1):
+    """(x, weight, conv, grads) for a checked conv2d call: conv(xd, wd) is
+    the bias-free forward of the kernel that the weight's shape picks, and
+    grads its _conv_op gradient function."""
+    x, weight = _conv_operands(name, x, weight)
+    for arg, value, least in (("stride", stride, 1), ("padding", padding, 0),
+                              ("dilation", dilation, 1)):
         if not isinstance(value, (int, np.integer)):
-            raise ShapeError(f"conv2d: {name} must be an integer, got "
+            raise ShapeError(f"{name}: {arg} must be an integer, got "
                              f"{value!r}")
         if value < least:
-            raise ShapeError(f"conv2d: {name} must be >= {least}, got {value}")
+            raise ShapeError(f"{name}: {arg} must be >= {least}, got {value}")
     cin, cout, cw = x.shape[1], *weight.shape[:2]
     depthwise = cw == 1 and cout == cin and stride == 1
     if cw == 1 and cout == cin > 1 and stride > 1:
-        raise ShapeError(f"conv2d: depthwise weight {weight.shape} needs "
+        raise ShapeError(f"{name}: depthwise weight {weight.shape} needs "
                          f"stride 1, got stride {stride}")
     if not depthwise and cw != cin:
         raise ShapeError(
-            f"conv2d: input channel dim {cin} != weight channel dim {cw}")
+            f"{name}: input channel dim {cin} != weight channel dim {cw}")
     if not depthwise and dilation > 1:
-        raise ShapeError(f"conv2d: dilation {dilation} needs a depthwise "
+        raise ShapeError(f"{name}: dilation {dilation} needs a depthwise "
                          f"weight [C, 1, k, k], got {weight.shape}")
 
     if depthwise:
-        data = _depthwise(x.data, weight.data[:, 0], dilation, padding)
-        grads = partial(_depthwise_grads, dilation=dilation, padding=padding)
-    elif stride > 1 and cout > 4 * cin:
-        data = _im2col_conv(x.data, weight.data, stride, padding)
-        grads = partial(_im2col_conv_grads, stride=stride, padding=padding)
-    else:
-        data = _flat_conv(x.data, weight.data, stride, padding)
-        grads = partial(_flat_conv_grads, stride=stride, padding=padding)
-    return _conv_op("conv2d", x, weight, bias, data, grads)
+        return (x, weight,
+                partial(_depthwise, dilation=dilation, padding=padding),
+                partial(_depthwise_grads, dilation=dilation, padding=padding))
+    if stride > 1 and cout > 4 * cin:
+        return (x, weight, partial(_im2col_conv, stride=stride,
+                                   padding=padding),
+                partial(_im2col_conv_grads, stride=stride, padding=padding))
+    return (x, weight, partial(_flat_conv, stride=stride, padding=padding),
+            partial(_flat_conv_grads, stride=stride, padding=padding))
 
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -575,29 +617,45 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(
             f"layer_norm_channels: gamma/beta must have shape ({c},), "
             f"got {gamma.shape} / {beta.shape}")
-    # two full-size buffers: xn (first x - mu) and data (first its square)
-    mu = x.data.mean(axis=1, keepdims=True)
-    xn = np.subtract(x.data, mu)
+    data, xn, inv = _layer_norm(x.data, gamma.data[None, :, None, None],
+                                beta.data[None, :, None, None], eps, axis=1)
+    return _track(data, (x, gamma, beta), lambda g: _layer_norm_grads(
+        g, xn, inv, gamma.data, x.requires_grad))
+
+
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                eps: float, axis: int):
+    """(out, xn, inv): x normalized over `axis`, its normalized copy and
+    1/std; gamma and beta broadcast against x. With more than one
+    location, the means add along `axis` in index order, in [B, C, H, W]
+    over axis 1 as in [C, M] over axis 0 (numpy sums a lone location's
+    channels pairwise). Two full-size buffers: xn (first x - mu) and out
+    (first its square)."""
+    mu = x.mean(axis=axis, keepdims=True)
+    xn = np.subtract(x, mu)
     data = np.multiply(xn, xn)
-    var = data.mean(axis=1, keepdims=True)
+    var = data.mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xn *= inv
-    np.multiply(gamma.data[None, :, None, None], xn, out=data)
-    data += beta.data[None, :, None, None]
+    np.multiply(gamma, xn, out=data)
+    data += beta
+    return data, xn, inv
 
-    def vjp(g):
-        if x.requires_grad:
-            gn = g * gamma.data[None, :, None, None]
-            m1 = gn.mean(axis=1, keepdims=True)
-            m2 = (gn * xn).mean(axis=1, keepdims=True)
-            gn -= m1
-            yield inv * (gn - xn * m2)
-            del gn
-        else:
-            yield None
-        yield np.einsum('bchw,bchw->c', g, xn, optimize=True)
-        yield g.sum(axis=(0, 2, 3))
-    return _track(data, (x, gamma, beta), vjp)
+
+def _layer_norm_grads(g, xn, inv, gamma, need_dx: bool):
+    """Yields the gradients of layer_norm_channels' x (None unless
+    need_dx), gamma and beta."""
+    if need_dx:
+        gn = g * gamma[None, :, None, None]
+        m1 = gn.mean(axis=1, keepdims=True)
+        m2 = (gn * xn).mean(axis=1, keepdims=True)
+        gn -= m1
+        yield inv * (gn - xn * m2)
+        del gn
+    else:
+        yield None
+    yield np.einsum('bchw,bchw->c', g, xn, optimize=True)
+    yield g.sum(axis=(0, 2, 3))
 
 
 def _phase_folds(k: int, dtype) -> tuple[int, list, np.ndarray]:
@@ -688,6 +746,134 @@ def upsample2_conv2d(x: Tensor, weight: Tensor,
 
 
 # ---------------------------------------------------------------------------
+# sparse stem
+# ---------------------------------------------------------------------------
+
+# An output location whose k x k input window holds only zeros has conv
+# output = bias there, so gelu(layer_norm(bias)), the background, every
+# time. conv_ln_gelu computes the active locations as the columns of one
+# im2col GEMM, padded with zero windows to a whole number of
+# _GEMM_COLUMN_GROUP columns; the first padding column is the background.
+# The padding keeps the bits: OpenBLAS computes a GEMM column the same way
+# wherever it sits, except that a single column goes to gemv and dgemm
+# gives a trailing group of 1-4 columns another kernel. So the sparse route
+# also needs output planes of whole groups, where the dense GEMM has no
+# trailing group either. Past about 70% active locations the dense kernels
+# are faster; _STEM_MAX_ACTIVE leaves a margin.
+_STEM_MAX_ACTIVE = 0.5
+_GEMM_COLUMN_GROUP = 8
+
+
+def _stem_active(xd: np.ndarray, k: int, stride: int, padding: int,
+                 h_out: int, w_out: int) -> np.ndarray:
+    """Flat indices b*h_out*w_out + p of the output locations whose input
+    window holds a nonzero value in any channel."""
+    nz = _pad2d(np.any(xd != 0, axis=1, keepdims=True), padding)
+    active = np.zeros((xd.shape[0], 1, h_out, w_out), dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            active |= _tap(nz, i, j, stride, h_out, w_out)
+    return np.flatnonzero(active)
+
+
+def _stem_columns(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+                  where: np.ndarray, stride: int, padding: int,
+                  h_out: int, w_out: int) -> np.ndarray:
+    """Conv + bias [Cout, Mt] at the flat output locations `where`, then
+    zero-window columns up to Mt, the next multiple of _GEMM_COLUMN_GROUP
+    above len(where)."""
+    cin, k = xd.shape[1], wd.shape[2]
+    xp = _pad2d(xd, padding)
+    hp, wp = xp.shape[2:]
+    b_idx, p_idx = np.divmod(where, h_out * w_out)
+    oy, ox = np.divmod(p_idx, w_out)
+    origin = b_idx * (cin * hp * wp) + stride * (oy * wp + ox)
+    c, i, j = np.indices((cin, k, k)).reshape(3, -1)  # im2col row order
+    m = where.size
+    group = _GEMM_COLUMN_GROUP
+    cols = np.zeros((cin * k * k, (m // group + 1) * group), dtype=xd.dtype)
+    cols[:, :m] = xp.reshape(-1)[((c * hp + i) * wp + j)[:, None] + origin]
+    return np.matmul(wd.reshape(wd.shape[0], -1), cols) + bd[:, None]
+
+
+def _stem_scatter(block: np.ndarray, where: np.ndarray,
+                  shape: tuple) -> np.ndarray:
+    """[B, C, H, W] array holding column n of block[C, Mt] at flat location
+    where[n], and column len(where), the background, everywhere else."""
+    m = where.size
+    out = np.empty((shape[0], shape[1], shape[2] * shape[3]),
+                   dtype=block.dtype)
+    out[...] = block[:, m, None]
+    b_idx, p_idx = np.divmod(where, out.shape[2])
+    out[b_idx, :, p_idx] = block[:, :m].T
+    return out.reshape(shape)
+
+
+def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
+                 beta: Tensor, stride: int = 1, padding: int = 0,
+                 eps: float = 1e-6) -> Tensor:
+    """gelu(layer_norm_channels(conv2d(x, weight, bias, stride, padding),
+    gamma, beta, eps)), with the same bytes, as one op.
+
+    When conv2d would take im2col, the planes hold whole column groups and
+    at most _STEM_MAX_ACTIVE of the output locations see a nonzero input,
+    only those locations are computed, channel-major; the rest get the
+    background. Otherwise the three ops' kernels run densely. The tape
+    keeps LN's xn and 1/std, the LN output and GELU's cdf, dense in either
+    case, and the backward is the three ops' backward.
+    """
+    x, weight, conv, grads = _conv_route("conv_ln_gelu", x, weight, stride,
+                                         padding)
+    bias, gamma, beta = as_tensor(bias), as_tensor(gamma), as_tensor(beta)
+    cout = weight.shape[0]
+    for name, t in (("bias", bias), ("gamma", gamma), ("beta", beta)):
+        if t.shape != (cout,):
+            raise ShapeError(f"conv_ln_gelu: {name} shape {t.shape} != out "
+                             f"channel dim ({cout},)")
+    inputs = (x, weight, bias, gamma, beta)
+    keep = _recording(inputs)
+    b_, _, h, w = x.shape
+    k = weight.shape[2]
+    h_out, w_out = _conv_geometry(h, w, k, stride, padding)
+    shape = (b_, cout, h_out, w_out)
+
+    where = None
+    if conv.func is _im2col_conv and (h_out * w_out) % _GEMM_COLUMN_GROUP == 0:
+        where = _stem_active(x.data, k, stride, padding, h_out, w_out)
+        if where.size > _STEM_MAX_ACTIVE * b_ * h_out * w_out:
+            where = None
+    if where is None:
+        c = conv(x.data, weight.data)
+        c = c + bias.data[None, :, None, None]
+        y, xn, inv = _layer_norm(c, gamma.data[None, :, None, None],
+                                 beta.data[None, :, None, None], eps, axis=1)
+    else:
+        c = _stem_columns(x.data, weight.data, bias.data, where, stride,
+                          padding, h_out, w_out)
+        y, xn, inv = _layer_norm(c, gamma.data[:, None], beta.data[:, None],
+                                 eps, axis=0)
+    del c
+    cdf = _gelu_cdf(y)
+    data = np.multiply(y, cdf, out=None if keep else cdf)
+    if where is not None:
+        data = _stem_scatter(data, where, shape)
+        if keep:
+            y, xn, cdf = (_stem_scatter(a, where, shape) for a in (y, xn, cdf))
+            inv = _stem_scatter(inv, where, (b_, 1, h_out, w_out))
+
+    def vjp(g):
+        gc, dgamma, dbeta = _layer_norm_grads(_gelu_grad(g, y, cdf), xn, inv,
+                                              gamma.data, need_dx=True)
+        yield from grads(gc, x.data, weight.data, need_dx=x.requires_grad,
+                         need_dw=weight.requires_grad)
+        yield gc.sum(axis=(0, 2, 3))
+        del gc
+        yield dgamma
+        yield dbeta
+    return _track(data, inputs, vjp)
+
+
+# ---------------------------------------------------------------------------
 # distribution ops
 # ---------------------------------------------------------------------------
 
@@ -696,10 +882,11 @@ def softmax_temp(x: Tensor, tau: float) -> Tensor:
     if tau <= 0:
         raise ValueError(f"softmax_temp: tau must be > 0, got {tau}")
     x = as_tensor(x)
-    z = x.data / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    # one full-size buffer, the bits of the expression form
+    p = x.data / tau
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * p).sum(axis=-1, keepdims=True)

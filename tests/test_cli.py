@@ -3,6 +3,7 @@
 Exit-code contract: 0 success, 1 usage, 2 validation, 3 I/O.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -42,16 +43,39 @@ def synth_args(out, n, frames=3, size="16x16", seed=0):
             "--frames", str(frames), "--size", size, "--seed", str(seed)]
 
 
-def run_etide(args, blas_threads):
-    """`python -m etide args` in a fresh process with the BLAS thread count
-    fixed; returns the completed process."""
+def run_etide(args, blas_threads, python_args=("-m", "etide")):
+    """`python -m etide args` (or `python python_args args`) in a fresh
+    process with the BLAS thread count fixed; returns the completed
+    process."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                OMP_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "etide", *args], env=env,
+    return subprocess.run([sys.executable, *python_args, *args], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+# SHA-256 of training.predict on one moving-bar window at the default
+# config, and the column counts of the sparse stem's GEMMs
+PREDICT_HASH = """
+import hashlib, json
+from etide import training
+from etide.model import ModelConfig, init_params
+from etide.numerics import ops
+columns = ops._stem_columns
+counts = []
+
+def counted(*args):
+    block = columns(*args)
+    counts.append(block.shape[1])
+    return block
+ops._stem_columns = counted
+x, _ = training.make_moving_bar_dataset(1, seed=3)[0]
+probs = training.predict(init_params(ModelConfig(), seed=3), x)
+print(hashlib.sha256(probs.tobytes()).hexdigest())
+print(json.dumps(counts))
+"""
 
 
 # at 64x64 the dec1 GEMMs (16 x 32 x 1088 multiply-adds per parity) exceed
@@ -215,6 +239,18 @@ class TestTrain:
             assert proc.returncode == 0, proc.stderr
             printed.append(proc.stdout)
         assert "ssim=" in printed[0] and printed[0] == printed[1]
+
+    def test_sparse_stem_forecast_independent_of_blas_threads(self):
+        # the stem's GEMM has as many columns as the window has active
+        # locations, thousands here, enough for OpenBLAS to split them
+        printed = []
+        for threads in ("1", "2"):
+            proc = run_etide([PREDICT_HASH], threads, python_args=("-c",))
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        columns = json.loads(printed[0].splitlines()[1])
+        assert len(columns) == 1 and 1000 < columns[0] < 0.5 * 10 * 64 * 64
+        assert printed[0] == printed[1]
 
     @pytest.mark.parametrize("key,value", [
         ("lr", "nan"), ("lr", "inf"), ("eps", "inf"), ("grad_clip", "nan"),

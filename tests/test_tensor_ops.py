@@ -6,12 +6,14 @@ nested loops and sorting, not from the library code under test.
 
 import inspect
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from etide.model import ModelConfig, init_params
 from etide.numerics import (ShapeError, Tape, Tensor, active_tape,
                             grad_check, ops, op_suite_cases, run_op_suite)
 from etide.numerics.tensor import Parameter
@@ -606,6 +608,37 @@ class TestSoftmaxKL:
         p = ops.softmax_temp(Tensor(np.array([[5.0, -3.0, 1.0]])), 1e6).data
         assert np.allclose(p, 1.0 / 3.0, atol=1e-4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_expression_form(self, dtype):
+        # the in-place steps must leave the arithmetic as it was
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=4.0, size=(6, 300)).astype(dtype)
+        w = rng.uniform(-1.0, 1.0, size=x.shape).astype(dtype)
+        tau = 0.7
+        z = x / tau
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        want = e / e.sum(axis=-1, keepdims=True)
+        want_grad = (w - (w * want).sum(axis=-1, keepdims=True)) * want / tau
+        xp = Parameter(x, "x")
+        with Tape() as tape:
+            p = ops.softmax_temp(xp, tau)
+            loss = ops.weighted_sum(p, w)
+        tape.backward(loss)
+        assert p.dtype == dtype and p.data.tobytes() == want.tobytes()
+        assert xp.grad.tobytes() == want_grad.tobytes()
+
+    def test_forward_keeps_one_full_size_buffer(self):
+        x = Tensor(np.random.default_rng(6).normal(size=(64, 4096)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p = ops.softmax_temp(x, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * p.data.nbytes, (peak, p.data.nbytes)
+
     def test_kl_identical_zero(self):
         p = Tensor(np.array([[0.3, 0.7], [0.5, 0.5]]))
         assert ops.kl_div(p, p).item() == pytest.approx(0.0, abs=1e-7)
@@ -630,6 +663,124 @@ class TestSoftmaxKL:
         q = Tensor(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="sum"):
             ops.kl_div(p, q)
+
+
+# ---------------------------------------------------------------------------
+# sparse stem
+# ---------------------------------------------------------------------------
+
+def stem_inputs(kind, dtype):
+    """[3, 2, 32, 32] event maps: the stem's 16x16 output planes hold whole
+    GEMM column groups."""
+    x = np.zeros((3, 2, 32, 32))
+    if kind == "ones":
+        x[:] = 1.0
+    elif kind == "border":
+        x[:, 0, [0, -1], :] = 1.0
+        x[:, 1, :, [0, -1]] = 1.0
+    elif kind == "single":
+        x[1, 1, 13, 20] = 1.0
+    elif kind != "zeros":
+        x = np.random.default_rng(11).random(x.shape) < float(kind)
+    return x.astype(dtype)
+
+
+def stem_params(dtype):
+    """A 2 -> 32 channel stem, which conv2d runs by im2col."""
+    rng = np.random.default_rng(12)
+    return [Parameter(rng.uniform(lo, hi, size=shape), name, dtype=dtype)
+            for name, shape, lo, hi in (
+                ("w", (32, 2, 3, 3), -0.5, 0.5), ("b", (32,), -0.5, 0.5),
+                ("g", (32,), 0.5, 1.5), ("be", (32,), -0.5, 0.5))]
+
+
+def dense_stem(x, w, b, g, be, stride=2, padding=1):
+    h = ops.conv2d(x, w, b, stride=stride, padding=padding)
+    return ops.gelu(ops.layer_norm_channels(h, g, be))
+
+
+class TestSparseStem:
+    """conv_ln_gelu against the three ops it replaces, byte for byte."""
+
+    @staticmethod
+    def _run(op, x, params, record):
+        if not record:
+            return op(Tensor(x), *params).data, None
+        proj = np.random.default_rng(13).uniform(
+            -1.0, 1.0, size=(x.shape[0], params[0].shape[0], 16, 16))
+        with Tape() as tape:
+            out = op(Tensor(x), *params)
+            loss = ops.weighted_sum(out, proj.astype(x.dtype))
+        tape.backward(loss)
+        return out.data, [p.grad for p in params]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("kind,route", [
+        ("zeros", "sparse"), ("ones", "dense"), ("border", "sparse"),
+        ("single", "sparse"), ("0.005", "sparse"), ("0.01", "sparse"),
+        ("0.03", "sparse"), ("0.05", "dense"), ("0.25", "dense")])
+    def test_bytes_match_dense_ops(self, monkeypatch, dtype, record, kind,
+                                   route):
+        x = stem_inputs(kind, dtype)
+        want, want_grads = self._run(dense_stem, x, stem_params(dtype),
+                                     record)
+        routes = []
+        columns = ops._stem_columns
+
+        def sparse_columns(*args):
+            routes.append("sparse")
+            return columns(*args)
+        monkeypatch.setattr(ops, "_stem_columns", sparse_columns)
+        got, got_grads = self._run(
+            lambda *a: ops.conv_ln_gelu(*a, stride=2, padding=1), x,
+            stem_params(dtype), record)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        if record:
+            assert ([g.tobytes() for g in got_grads]
+                    == [g.tobytes() for g in want_grads])
+        assert (routes or ["dense"]) == [route]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_background_is_gelu_ln_bias(self, dtype):
+        w, b, g, be = stem_params(dtype)
+        out = ops.conv_ln_gelu(Tensor(stem_inputs("single", dtype)), w, b, g,
+                               be, stride=2, padding=1).data
+        # the bias at two locations: at one, numpy would add the channels
+        # pairwise instead of in order
+        bias = Tensor(np.repeat(b.data.reshape(1, -1, 1, 1), 2, axis=3))
+        want = ops.gelu(ops.layer_norm_channels(bias, g, be)).data[0, :, 0, 0]
+        assert np.array_equal(out[0, :, 5, 5], want)
+        assert not np.array_equal(out[1, :, 7, 10], want)  # the event
+
+    def test_thin_stem_takes_the_dense_route(self, monkeypatch):
+        # 2 -> 4 channels is not im2col in conv2d, so the stem runs densely
+        cfg = ModelConfig(t_in=3, t_out=3, height=32, width=32, c_step=4,
+                          n_blocks=1, stages=1, enc_widths=(),
+                          dec_widths=(8,))
+        model = init_params(cfg, seed=0)
+        x = stem_inputs("0.02", np.float32)[None]
+        monkeypatch.setattr(ops, "_stem_active", None)  # sparse would call it
+        got = model.encode(Tensor(x)).data
+        want = dense_stem(Tensor(x.reshape(3, 2, 32, 32)),
+                          *(model[f"enc0.{n}"] for n in
+                            ("conv.w", "conv.b", "ln.g", "ln.b"))).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_records_one_node(self):
+        w, b, g, be = stem_params(np.float32)
+        x = Tensor(stem_inputs("0.02", np.float32))
+        with Tape() as tape:
+            ops.conv_ln_gelu(x, w, b, g, be, stride=2, padding=1)
+        assert len(tape) == 1
+
+    def test_rejects_bad_shapes(self):
+        w, b, g, be = stem_params(np.float32)
+        x = Tensor(stem_inputs("zeros", np.float32))
+        with pytest.raises(ShapeError, match="gamma shape"):
+            ops.conv_ln_gelu(x, w, b, Tensor(np.ones(3)), be, stride=2)
+        with pytest.raises(ShapeError, match="conv_ln_gelu: input channel"):
+            ops.conv_ln_gelu(Tensor(np.zeros((1, 3, 8, 8))), w, b, g, be)
 
 
 # ---------------------------------------------------------------------------
