@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, is_binary
 
 EVT_MAGIC = b"EVT1"
 OCM_MAGIC = b"OCM1"
@@ -95,8 +95,8 @@ class OccurrenceTensor:
         f = self.frames
         if f.ndim != 4 or f.shape[1] != 2:
             raise ValueError(f"frames must be [T, 2, H, W], got {f.shape}")
-        if not np.all((f == 0) | (f == 1)):
-            raise ValueError("frames must be binary {0, 1}")
+        if not is_binary(f):
+            raise ValueError("frames must be binary, 0 or 1")
         if self.bin_duration <= 0:
             raise ValueError(f"bin_duration must be > 0, got {self.bin_duration}")
         object.__setattr__(self, "frames",
@@ -296,6 +296,7 @@ def read_ocm(path) -> OccurrenceTensor:
         raise FileFormatError(
             f"{path}: expected {expected} payload bytes, got {len(payload)}")
     frames = np.frombuffer(payload, dtype=np.uint8).reshape(t, c, h, w)
-    if not np.all(frames <= 1):
-        raise FileFormatError(f"{path}: payload values must be 0 or 1")
-    return OccurrenceTensor(frames.copy(), int(bin_duration), int(t0))
+    try:
+        return OccurrenceTensor(frames.copy(), int(bin_duration), int(t0))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

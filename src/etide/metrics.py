@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .util import is_binary
+
 _METRIC_KEYS = ("iou_on", "iou_off", "miou", "aiou", "mse", "ssim")
 
 _SSIM_WINDOW = 11
@@ -158,17 +160,6 @@ def _check_binary_pair(pred_bin: np.ndarray, gt: np.ndarray) -> None:
     for name, arr in (("prediction", pred_bin), ("target", gt)):
         if not is_binary(arr):
             raise ValueError(f"{name} mask must be binary")
-
-
-def is_binary(arr: np.ndarray) -> bool:
-    """True when every element is 0 or 1.
-
-    Unsigned and bool arrays take one pass (their maximum); float and
-    signed arrays need the full test, which also rejects NaN and negatives.
-    """
-    if arr.dtype.kind in "ub":
-        return arr.size == 0 or bool(arr.max() <= 1)
-    return bool(np.all((arr == 0) | (arr == 1)))
 
 
 class MetricAccumulator:

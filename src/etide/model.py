@@ -3,7 +3,9 @@
 A shared-weight strided-conv encoder turns each input frame into a small
 feature map, time is packed into channels (D = T_in * C_s), a stack of
 mixing blocks interacts the packed tensor with purely 2-D operators, and an
-upsampling decoder emits T_out * 2 logit maps in one pass. An enc0
+upsampling decoder emits T_out * 2 logit maps in one pass. Every encoder
+and decoder stage is one ops.conv_ln_gelu call (conv -> LN -> GELU; the
+decoder's conv runs on the nearest-2x upsample of its input). An enc0
 window that holds no event reuses one constant vector, gelu(LN(bias)),
 so the stem computes only the windows with events. Blocks are pre-norm
 residual:
@@ -168,19 +170,17 @@ class TideModel:
         cfg = self.config
         b = x.shape[0]
         h = ops.reshape(x, (b * cfg.t_in, 2, cfg.height, cfg.width))
-        pad = (cfg.k_resample - 1) // 2
-        # the stem sees the sparse event maps and computes only the windows
-        # that hold events
-        h = ops.conv_ln_gelu(h, self["enc0.conv.w"], self["enc0.conv.b"],
-                             self["enc0.ln.g"], self["enc0.ln.b"],
-                             stride=2, padding=pad)
-        for i in range(1, cfg.stages):
-            h = ops.conv2d(h, self[f"enc{i}.conv.w"], self[f"enc{i}.conv.b"],
-                           stride=2, padding=pad)
-            h = ops.layer_norm_channels(h, self[f"enc{i}.ln.g"],
-                                        self[f"enc{i}.ln.b"])
-            h = ops.gelu(h)
+        for i in range(cfg.stages):
+            h = self._stage(h, f"enc{i}", stride=2)
         return h
+
+    def _stage(self, h: Tensor, prefix: str, **kwargs) -> Tensor:
+        """One resampling stage, conv -> layer norm -> GELU, as one op."""
+        return ops.conv_ln_gelu(h, self[f"{prefix}.conv.w"],
+                                self[f"{prefix}.conv.b"],
+                                self[f"{prefix}.ln.g"], self[f"{prefix}.ln.b"],
+                                padding=(self.config.k_resample - 1) // 2,
+                                **kwargs)
 
     def tide_core(self, un: Tensor, block: int) -> Tensor:
         """Mixing core on the pre-normalized tensor.
@@ -236,11 +236,7 @@ class TideModel:
         cfg = self.config
         h = z
         for j in range(cfg.stages):
-            h = ops.upsample2_conv2d(h, self[f"dec{j}.conv.w"],
-                                     self[f"dec{j}.conv.b"])
-            h = ops.layer_norm_channels(h, self[f"dec{j}.ln.g"],
-                                        self[f"dec{j}.ln.b"])
-            h = ops.gelu(h)
+            h = self._stage(h, f"dec{j}", upsample=True)
         logits = ops.conv2d(h, self["head.w"], self["head.b"])
         b = z.shape[0]
         return ops.reshape(logits, (b, cfg.t_out, 2, cfg.height, cfg.width))

@@ -15,7 +15,7 @@ own mask stream) are written out.
 
 from __future__ import annotations
 
-import math
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -203,14 +203,23 @@ def op_suite_cases() -> dict:
             ("f", (2, 3, 4, 4)), ("u", (2, 3, 4, 4))),
         "gated_product_no_base": _case(
             ops.gated_product, ("g", (2, 3), 0.1, 0.9), ("f", (2, 3, 4, 4))),
-        "upsample2_conv2d": _case(
-            ops.upsample2_conv2d,
+        "conv2d_upsample": _case(
+            partial(ops.conv2d, padding=1, upsample=True),
             ("x", (2, 3, 3, 4)), ("w", (4, 3, 3, 3)), ("b", (4,))),
         "conv_ln_gelu_sparse": _case(
             lambda x, w, b, g, be, events: ops.conv_ln_gelu(
                 ops.scale(x, events), w, b, g, be, stride=2, padding=1),
             ("x", (2, 2, 8, 8)), ("w", (9, 2, 3, 3)), ("b", (9,)),
             ("g", (9,), 0.5, 1.5), ("be", (9,)), const=_stem_events),
+        # enc1's route: a strided conv on the stride phases
+        "conv_ln_gelu_dense": _case(
+            partial(ops.conv_ln_gelu, stride=2, padding=1),
+            ("x", (2, 4, 7, 6)), ("w", (3, 4, 3, 3)), ("b", (3,)),
+            ("g", (3,), 0.5, 1.5), ("be", (3,))),
+        "conv_ln_gelu_upsample": _case(
+            partial(ops.conv_ln_gelu, padding=1, upsample=True),
+            ("x", (2, 3, 3, 4)), ("w", (4, 3, 3, 3)), ("b", (4,)),
+            ("g", (4,), 0.5, 1.5), ("be", (4,))),
         "frame_diff": _case(ops.frame_diff, ("x", (2, 5, 3, 3))),
         "add_scale_reshape": _case(
             lambda a, b: ops.reshape(ops.add(a, ops.scale(b, 1.7)), (2, 12)),

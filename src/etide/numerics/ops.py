@@ -9,9 +9,10 @@ that saves buffers only for its backward asks _recording(inputs) first.
 Each op also has a _case row in gradcheck.op_suite_cases, which checks its
 vjp against central differences.
 
-One convolution op, conv2d, picks its kernel from the weight's shape.
-Forward times are medians of 15 calls at the full-config forecast shapes on
-a 2-vCPU VM, against one tensordot per tap before:
+One convolution op, conv2d, picks its kernel from the weight's shape and
+its upsample flag. Forward times are medians of 15 calls at the
+full-config forecast shapes on a 2-vCPU VM, against one tensordot per tap
+before:
 
 * [Cout, Cin, k, k], 1x1 projections included: one GEMM per tap straight
   on a window of the flattened padded input, no copy per tap (dec1's
@@ -24,13 +25,19 @@ a 2-vCPU VM, against one tensordot per tap before:
   a read-only strided view of every tap window, bit-identical to the tap
   loop before (full-config k5: 2.2-3.0 -> 0.6-0.9 ms, dilated k7:
   4.1-5.2 -> 1.5 ms); its backward is one more einsum for dw and the
-  same kernel on the gradient for dx.
+  same kernel on the gradient for dx;
+* upsample=True, a nearest-2x upsample followed by a "same" conv: four
+  sub-pixel stride-1 convs on the low-resolution input with summed taps,
+  2.25x fewer multiply-adds at k=3 (dec1 including its upsample:
+  108 -> 16 ms; dec0: 21 -> 9.5 ms).
 
-conv_ln_gelu, the model's stem (enc0: conv -> layer norm -> GELU, 2 -> 32
-channels at stride 2), computes only the output locations whose input
-window holds a nonzero value, as the columns of one im2col GEMM, then LN
-and GELU channel-major; every other location gets the background
-gelu(LN(bias)). The bytes are those of the three ops:
+conv_ln_gelu (conv -> layer norm -> GELU) is every encoder and decoder
+stage of the model, one tape node each, with the bytes of conv2d,
+layer_norm_channels and gelu. Where conv2d takes im2col (the stem, enc0:
+2 -> 32 channels at stride 2), it computes only the output locations
+whose input window holds a nonzero value, as the columns of one im2col
+GEMM, then LN and GELU channel-major; every other location gets the
+background gelu(LN(bias)):
 
 * full-config forecast windows, 4-14% of locations active: 3.0-7.6 ms
   against 24-28 ms for conv2d, layer_norm_channels and gelu; under a tape
@@ -38,14 +45,12 @@ gelu(LN(bias)). The bytes are those of the three ops:
   53 ms, with the same dense backward;
 * random events at the same shape: 60% active, 31.7 against 34.6 ms;
   77%, 38.9 against 35.1 ms; 99% (etide bench's input), 55 against 41 ms.
-  Above 50% active, when conv2d would not take im2col, or when an output
-  plane is not a whole number of 8-column GEMM groups, it runs the three
-  ops' dense kernels instead.
+  Above 50% active, or when an output plane is not a whole number of
+  8-column GEMM groups, it runs the dense kernels instead.
 
-upsample2_conv2d, a nearest-2x upsample followed by a "same" conv, runs
-four sub-pixel stride-1 convs on the low-resolution input with summed
-taps, 2.25x fewer multiply-adds at k=3 (dec1 including its upsample:
-108 -> 16 ms; dec0: 21 -> 9.5 ms).
+Every other stage (enc1, and the decoder with upsample=True) runs conv2d's
+kernel densely, adding the bias into the conv buffer. Either route centres
+that buffer in place for LN, and the tape keeps no conv output.
 
 Backward passes rebuild padded inputs and columns from the saved input
 instead of keeping them on the tape.
@@ -264,27 +269,6 @@ def _unpad2d(xp: np.ndarray, padding: int) -> np.ndarray:
 def _tap(xp: np.ndarray, i: int, j: int, stride: int, h_out: int, w_out: int):
     return xp[:, :, i:i + stride * (h_out - 1) + 1:stride,
               j:j + stride * (w_out - 1) + 1:stride]
-
-
-def _conv_op(name: str, x: Tensor, weight: Tensor, bias: Optional[Tensor],
-             data: np.ndarray, grads) -> Tensor:
-    """Add the bias to a convolution result and track it.
-
-    grads(g, xd, wd, need_dx=, need_dw=) -> (dx, dw) recomputes its buffers
-    from x.data and weight.data, so the tape holds no padded copies.
-    """
-    if bias is not None:
-        cout = weight.shape[0]
-        if bias.shape != (cout,):
-            raise ShapeError(
-                f"{name}: bias shape {bias.shape} != out channel dim ({cout},)")
-        data = data + bias.data[None, :, None, None]
-
-    def vjp(g):
-        yield from grads(g, x.data, weight.data, need_dx=x.requires_grad,
-                         need_dw=weight.requires_grad)
-        yield g.sum(axis=(0, 2, 3))
-    return _track(np.ascontiguousarray(data), (x, weight, bias), vjp)
 
 
 # Per-tap GEMMs on the flattened padded input, at any stride s. The padded
@@ -532,132 +516,6 @@ def _depthwise_grads(g, xd, wd, dilation, padding, need_dx, need_dw):
     return dx, dw
 
 
-def _conv_operands(name: str, x: Tensor,
-                   weight: Tensor) -> tuple[Tensor, Tensor]:
-    """x and weight as tensors, both 4-d with an odd square kernel."""
-    x, weight = as_tensor(x), as_tensor(weight)
-    if len(x.shape) != 4 or len(weight.shape) != 4:
-        raise ShapeError(f"{name}: input and weight must be 4-d, got "
-                         f"{x.shape} and {weight.shape}")
-    k, k2 = weight.shape[2:]
-    if k != k2 or k % 2 == 0:
-        raise ShapeError(f"{name}: kernel must be odd square, got {k}x{k2}")
-    return x, weight
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0, dilation: int = 1) -> Tensor:
-    """Cross-correlation of x[B, Cin, H, W]; the weight's shape picks the
-    kernel, as the module docstring lists.
-
-    weight[Cout, Cin, k, k] is dense, at dilation 1. weight[Cin, 1, k, k]
-    at stride 1 is depthwise, channel c seeing only channel c, at any
-    dilation; a [1, 1, k, k] weight takes it too, for the same sum. The
-    depthwise forward is einsum('bcijn,cij->bcn') over the tap windows of
-    _depthwise_windows, with the bytes of a tap loop that adds
-    x_tap * w[c, i, j] for i, then j; a numpy build whose einsum kernels
-    fused multiply-add would change them, which the depthwise tests in
-    tests/test_tensor_ops.py would catch. dw is einsum('bcn,bcijn->cij')
-    over the same windows; dx is the forward kernel on the output gradient
-    with the kernel flipped and padding d(k-1) - padding (a crop when
-    negative).
-    """
-    x, weight, conv, grads = _conv_route("conv2d", x, weight, stride,
-                                         padding, dilation)
-    return _conv_op("conv2d", x, weight, bias, conv(x.data, weight.data),
-                    grads)
-
-
-def _conv_route(name: str, x: Tensor, weight: Tensor, stride: int,
-                padding: int, dilation: int = 1):
-    """(x, weight, conv, grads) for a checked conv2d call: conv(xd, wd) is
-    the bias-free forward of the kernel that the weight's shape picks, and
-    grads its _conv_op gradient function."""
-    x, weight = _conv_operands(name, x, weight)
-    for arg, value, least in (("stride", stride, 1), ("padding", padding, 0),
-                              ("dilation", dilation, 1)):
-        if not isinstance(value, (int, np.integer)):
-            raise ShapeError(f"{name}: {arg} must be an integer, got "
-                             f"{value!r}")
-        if value < least:
-            raise ShapeError(f"{name}: {arg} must be >= {least}, got {value}")
-    cin, cout, cw = x.shape[1], *weight.shape[:2]
-    depthwise = cw == 1 and cout == cin and stride == 1
-    if cw == 1 and cout == cin > 1 and stride > 1:
-        raise ShapeError(f"{name}: depthwise weight {weight.shape} needs "
-                         f"stride 1, got stride {stride}")
-    if not depthwise and cw != cin:
-        raise ShapeError(
-            f"{name}: input channel dim {cin} != weight channel dim {cw}")
-    if not depthwise and dilation > 1:
-        raise ShapeError(f"{name}: dilation {dilation} needs a depthwise "
-                         f"weight [C, 1, k, k], got {weight.shape}")
-
-    if depthwise:
-        return (x, weight,
-                partial(_depthwise, dilation=dilation, padding=padding),
-                partial(_depthwise_grads, dilation=dilation, padding=padding))
-    if stride > 1 and cout > 4 * cin:
-        return (x, weight, partial(_im2col_conv, stride=stride,
-                                   padding=padding),
-                partial(_im2col_conv_grads, stride=stride, padding=padding))
-    return (x, weight, partial(_flat_conv, stride=stride, padding=padding),
-            partial(_flat_conv_grads, stride=stride, padding=padding))
-
-
-def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
-                        eps: float = 1e-6) -> Tensor:
-    """Normalize the channel vector at every (b, h, w) location."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if len(x.shape) != 4:
-        raise ShapeError(
-            f"layer_norm_channels: input must be 4-d, got {x.shape}")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"layer_norm_channels: gamma/beta must have shape ({c},), "
-            f"got {gamma.shape} / {beta.shape}")
-    data, xn, inv = _layer_norm(x.data, gamma.data[None, :, None, None],
-                                beta.data[None, :, None, None], eps, axis=1)
-    return _track(data, (x, gamma, beta), lambda g: _layer_norm_grads(
-        g, xn, inv, gamma.data, x.requires_grad))
-
-
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float, axis: int):
-    """(out, xn, inv): x normalized over `axis`, its normalized copy and
-    1/std; gamma and beta broadcast against x. With more than one
-    location, the means add along `axis` in index order, in [B, C, H, W]
-    over axis 1 as in [C, M] over axis 0 (numpy sums a lone location's
-    channels pairwise). Two full-size buffers: xn (first x - mu) and out
-    (first its square)."""
-    mu = x.mean(axis=axis, keepdims=True)
-    xn = np.subtract(x, mu)
-    data = np.multiply(xn, xn)
-    var = data.mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xn *= inv
-    np.multiply(gamma, xn, out=data)
-    data += beta
-    return data, xn, inv
-
-
-def _layer_norm_grads(g, xn, inv, gamma, need_dx: bool):
-    """Yields the gradients of layer_norm_channels' x (None unless
-    need_dx), gamma and beta."""
-    if need_dx:
-        gn = g * gamma[None, :, None, None]
-        m1 = gn.mean(axis=1, keepdims=True)
-        m2 = (gn * xn).mean(axis=1, keepdims=True)
-        gn -= m1
-        yield inv * (gn - xn * m2)
-        del gn
-    else:
-        yield None
-    yield np.einsum('bchw,bchw->c', g, xn, optimize=True)
-    yield g.sum(axis=(0, 2, 3))
-
-
 def _phase_folds(k: int, dtype) -> tuple[int, list, np.ndarray]:
     """Sub-pixel split of a "same" k x k conv on a nearest-2x upsample.
 
@@ -690,8 +548,10 @@ def _upsample2_conv(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     cout, _, k, _ = wd.shape
     q, first, fold = _phase_folds(k, wd.dtype)
     w_eff = _phase_weights(wd, fold)
-    xf, wp = _flat_pad(xd, q, 2 * q)
+    # the output first: the padded input and tap buffers, once freed, leave
+    # one heap hole that fits conv_ln_gelu's LN buffer (forecast RSS -1.2 MB)
     data = np.empty((b_, cout, h, 2, w, 2), dtype=xd.dtype)
+    xf, wp = _flat_pad(xd, q, 2 * q)
     for a in (0, 1):
         for c in (0, 1):
             taps = _conv_taps(w_eff[a, c], wp, first[a], first[c])
@@ -725,28 +585,155 @@ def _upsample2_conv_grads(g, xd, wd, need_dx, need_dw):
     return (_flat_unpad(dxf, h, w, q) if need_dx else None), dw
 
 
-def upsample2_conv2d(x: Tensor, weight: Tensor,
-                     bias: Optional[Tensor] = None) -> Tensor:
-    """Nearest-2x upsample of x[B, Cin, H, W], then the same conv
-    (conv2d with padding (k-1)//2), without the upsampled tensor.
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+           stride: int = 1, padding: int = 0, dilation: int = 1,
+           upsample: bool = False) -> Tensor:
+    """Cross-correlation of x[B, Cin, H, W]; the weight's shape picks the
+    kernel, as the module docstring lists.
 
-    Each of the four output parities is a stride-1 conv of the
-    low-resolution x with (p+1) x (p+1) summed taps (2x2 for k=3: 2.25x
-    fewer multiply-adds); the parities are interleaved into the output.
+    weight[Cout, Cin, k, k] is dense, at dilation 1. weight[Cin, 1, k, k]
+    at stride 1 is depthwise, channel c seeing only channel c, at any
+    dilation; a [1, 1, k, k] weight takes it too, for the same sum. The
+    depthwise forward is einsum('bcijn,cij->bcn') over the tap windows of
+    _depthwise_windows, with the bytes of a tap loop that adds
+    x_tap * w[c, i, j] for i, then j; a numpy build whose einsum kernels
+    fused multiply-add would change them, which the depthwise tests in
+    tests/test_tensor_ops.py would catch. dw is einsum('bcn,bcijn->cij')
+    over the same windows; dx is the forward kernel on the output gradient
+    with the kernel flipped and padding d(k-1) - padding (a crop when
+    negative).
+
+    upsample=True convolves the nearest-2x upsample of x without building
+    it; it needs stride 1, dilation 1, a dense weight and padding (k-1)//2.
     """
-    x, weight = _conv_operands("upsample2_conv2d", x, weight)
-    cin = weight.shape[1]
-    if cin != x.shape[1]:
+    x, weight, conv, grads, (bias,) = _conv_route(
+        "conv2d", x, weight, stride, padding, dilation, upsample, bias=bias)
+    data = np.ascontiguousarray(conv(x.data, weight.data))
+    if bias is not None:
+        data += bias.data[None, :, None, None]
+
+    def vjp(g):
+        yield from grads(g, x.data, weight.data, need_dx=x.requires_grad,
+                         need_dw=weight.requires_grad)
+        yield g.sum(axis=(0, 2, 3))
+    return _track(data, (x, weight, bias), vjp)
+
+
+def _conv_route(name: str, x: Tensor, weight: Tensor, stride: int,
+                padding: int, dilation: int, upsample: bool, **vectors):
+    """(x, weight, conv, grads, vectors) for a checked conv call. conv(xd,
+    wd) is the bias-free forward of the kernel that upsample and the
+    weight's shape pick; grads(g, xd, wd, need_dx=, need_dw=) -> (dx, dw)
+    rebuilds its buffers from xd and wd, so the tape holds no padded
+    copies. The per-output-channel operands (bias; gamma, beta) come back
+    as a list of tensors, each None or checked to be of shape (Cout,)."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    if len(x.shape) != 4 or len(weight.shape) != 4:
+        raise ShapeError(f"{name}: input and weight must be 4-d, got "
+                         f"{x.shape} and {weight.shape}")
+    cin, (cout, cw, k, k2) = x.shape[1], weight.shape
+    if k != k2 or k % 2 == 0:
+        raise ShapeError(f"{name}: kernel must be odd square, got {k}x{k2}")
+    for arg, value, least in (("stride", stride, 1), ("padding", padding, 0),
+                              ("dilation", dilation, 1)):
+        if not isinstance(value, (int, np.integer)):
+            raise ShapeError(f"{name}: {arg} must be an integer, got "
+                             f"{value!r}")
+        if value < least:
+            raise ShapeError(f"{name}: {arg} must be >= {least}, got {value}")
+    checked = [None if t is None else as_tensor(t) for t in vectors.values()]
+    for arg, t in zip(vectors, checked):
+        if t is not None and t.shape != (cout,):
+            raise ShapeError(f"{name}: {arg} shape {t.shape} != out channel "
+                             f"dim ({cout},)")
+
+    depthwise = cw == 1 and cout == cin and stride == 1 and not upsample
+    if upsample:
+        for arg, value, need in (("stride", stride, 1),
+                                 ("dilation", dilation, 1),
+                                 ("padding", padding, (k - 1) // 2)):
+            if value != need:
+                raise ShapeError(f"{name}: upsample needs {arg} {need}, got "
+                                 f"{value}")
+    elif cw == 1 and cout == cin > 1 and stride > 1:
+        raise ShapeError(f"{name}: depthwise weight {weight.shape} needs "
+                         f"stride 1, got stride {stride}")
+    if not depthwise and cw != cin:
         raise ShapeError(
-            f"upsample2_conv2d: input channel dim {x.shape[1]} != weight "
-            f"channel dim {cin}")
-    data = _upsample2_conv(x.data, weight.data)
-    return _conv_op("upsample2_conv2d", x, weight, bias, data,
-                    _upsample2_conv_grads)
+            f"{name}: input channel dim {cin} != weight channel dim {cw}")
+    if not depthwise and dilation > 1:
+        raise ShapeError(f"{name}: dilation {dilation} needs a depthwise "
+                         f"weight [C, 1, k, k], got {weight.shape}")
+
+    if upsample:
+        fwd, bwd, kw = _upsample2_conv, _upsample2_conv_grads, {}
+    elif depthwise:
+        fwd, bwd, kw = (_depthwise, _depthwise_grads,
+                        dict(dilation=dilation, padding=padding))
+    elif stride > 1 and cout > 4 * cin:
+        fwd, bwd, kw = (_im2col_conv, _im2col_conv_grads,
+                        dict(stride=stride, padding=padding))
+    else:
+        fwd, bwd, kw = (_flat_conv, _flat_conv_grads,
+                        dict(stride=stride, padding=padding))
+    return x, weight, partial(fwd, **kw), partial(bwd, **kw), checked
+
+
+def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
+                        eps: float = 1e-6) -> Tensor:
+    """Normalize the channel vector at every (b, h, w) location."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if len(x.shape) != 4:
+        raise ShapeError(
+            f"layer_norm_channels: input must be 4-d, got {x.shape}")
+    c = x.shape[1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(
+            f"layer_norm_channels: gamma/beta must have shape ({c},), "
+            f"got {gamma.shape} / {beta.shape}")
+    data, xn, inv = _layer_norm(x.data, gamma.data[None, :, None, None],
+                                beta.data[None, :, None, None], eps, axis=1)
+    return _track(data, (x, gamma, beta), lambda g: _layer_norm_grads(
+        g, xn, inv, gamma.data, x.requires_grad))
+
+
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                eps: float, axis: int, out: Optional[np.ndarray] = None):
+    """(data, xn, inv): x normalized over `axis`, its normalized copy and
+    1/std; gamma and beta broadcast against x. With more than one
+    location, the means add along `axis` in index order, in [B, C, H, W]
+    over axis 1 as in [C, M] over axis 0 (numpy sums a lone location's
+    channels pairwise). Two full-size buffers: xn (first x - mu, into `out`
+    when given) and data (first its square)."""
+    mu = x.mean(axis=axis, keepdims=True)
+    xn = np.subtract(x, mu, out=out)
+    data = np.multiply(xn, xn)
+    var = data.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xn *= inv
+    np.multiply(gamma, xn, out=data)
+    data += beta
+    return data, xn, inv
+
+
+def _layer_norm_grads(g, xn, inv, gamma, need_dx: bool):
+    """Yields the gradients of layer_norm_channels' x (None unless
+    need_dx), gamma and beta."""
+    if need_dx:
+        gn = g * gamma[None, :, None, None]
+        m1 = gn.mean(axis=1, keepdims=True)
+        m2 = (gn * xn).mean(axis=1, keepdims=True)
+        gn -= m1
+        yield inv * (gn - xn * m2)
+        del gn
+    else:
+        yield None
+    yield np.einsum('bchw,bchw->c', g, xn, optimize=True)
+    yield g.sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
-# sparse stem
+# conv -> layer norm -> GELU stages, with the sparse stem
 # ---------------------------------------------------------------------------
 
 # An output location whose k x k input window holds only zeros has conv
@@ -765,15 +752,20 @@ _GEMM_COLUMN_GROUP = 8
 
 
 def _stem_active(xd: np.ndarray, k: int, stride: int, padding: int,
-                 h_out: int, w_out: int) -> np.ndarray:
+                 h_out: int, w_out: int) -> Optional[np.ndarray]:
     """Flat indices b*h_out*w_out + p of the output locations whose input
-    window holds a nonzero value in any channel."""
+    window holds a nonzero value in any channel; None, for the dense route,
+    when the planes are not whole column groups or more than
+    _STEM_MAX_ACTIVE of the locations are active."""
+    if (h_out * w_out) % _GEMM_COLUMN_GROUP:
+        return None
     nz = _pad2d(np.any(xd != 0, axis=1, keepdims=True), padding)
     active = np.zeros((xd.shape[0], 1, h_out, w_out), dtype=bool)
     for i in range(k):
         for j in range(k):
             active |= _tap(nz, i, j, stride, h_out, w_out)
-    return np.flatnonzero(active)
+    where = np.flatnonzero(active)
+    return None if where.size > _STEM_MAX_ACTIVE * active.size else where
 
 
 def _stem_columns(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
@@ -811,55 +803,51 @@ def _stem_scatter(block: np.ndarray, where: np.ndarray,
 
 def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
                  beta: Tensor, stride: int = 1, padding: int = 0,
-                 eps: float = 1e-6) -> Tensor:
-    """gelu(layer_norm_channels(conv2d(x, weight, bias, stride, padding),
-    gamma, beta, eps)), with the same bytes, as one op.
+                 upsample: bool = False, eps: float = 1e-6) -> Tensor:
+    """gelu(layer_norm_channels(conv2d(x, weight, bias, stride, padding,
+    upsample=upsample), gamma, beta, eps)), with the same bytes, as one op:
+    every encoder and decoder stage of the model.
 
-    When conv2d would take im2col, the planes hold whole column groups and
-    at most _STEM_MAX_ACTIVE of the output locations see a nonzero input,
-    only those locations are computed, channel-major; the rest get the
-    background. Otherwise the three ops' kernels run densely. The tape
-    keeps LN's xn and 1/std, the LN output and GELU's cdf, dense in either
-    case, and the backward is the three ops' backward.
+    When conv2d would take im2col (the stem, enc0) and _stem_active finds
+    few enough active windows, only those locations are computed,
+    channel-major; the rest get the background. Otherwise conv2d's kernel
+    runs densely, adding the bias in place. LN centres the conv's buffer in
+    place; with the bias, that pays for holding x until the op returns.
+    The tape keeps LN's xn and 1/std, the LN output and GELU's cdf, dense
+    in either case, and no conv output; the backward is the three ops'.
     """
-    x, weight, conv, grads = _conv_route("conv_ln_gelu", x, weight, stride,
-                                         padding)
-    bias, gamma, beta = as_tensor(bias), as_tensor(gamma), as_tensor(beta)
-    cout = weight.shape[0]
-    for name, t in (("bias", bias), ("gamma", gamma), ("beta", beta)):
-        if t.shape != (cout,):
-            raise ShapeError(f"conv_ln_gelu: {name} shape {t.shape} != out "
-                             f"channel dim ({cout},)")
+    x, weight, conv, grads, (bias, gamma, beta) = _conv_route(
+        "conv_ln_gelu", x, weight, stride, padding, 1, upsample, bias=bias,
+        gamma=gamma, beta=beta)
     inputs = (x, weight, bias, gamma, beta)
     keep = _recording(inputs)
-    b_, _, h, w = x.shape
-    k = weight.shape[2]
-    h_out, w_out = _conv_geometry(h, w, k, stride, padding)
-    shape = (b_, cout, h_out, w_out)
 
     where = None
-    if conv.func is _im2col_conv and (h_out * w_out) % _GEMM_COLUMN_GROUP == 0:
+    if conv.func is _im2col_conv:
+        k = weight.shape[2]
+        h_out, w_out = _conv_geometry(*x.shape[2:], k, stride, padding)
         where = _stem_active(x.data, k, stride, padding, h_out, w_out)
-        if where.size > _STEM_MAX_ACTIVE * b_ * h_out * w_out:
-            where = None
     if where is None:
-        c = conv(x.data, weight.data)
-        c = c + bias.data[None, :, None, None]
+        c = np.ascontiguousarray(conv(x.data, weight.data))
+        c += bias.data[None, :, None, None]
         y, xn, inv = _layer_norm(c, gamma.data[None, :, None, None],
-                                 beta.data[None, :, None, None], eps, axis=1)
+                                 beta.data[None, :, None, None], eps, axis=1,
+                                 out=c)
     else:
         c = _stem_columns(x.data, weight.data, bias.data, where, stride,
                           padding, h_out, w_out)
         y, xn, inv = _layer_norm(c, gamma.data[:, None], beta.data[:, None],
-                                 eps, axis=0)
-    del c
+                                 eps, axis=0, out=c)
+    if not keep:
+        c = xn = inv = None  # free the conv buffer before GELU's
     cdf = _gelu_cdf(y)
     data = np.multiply(y, cdf, out=None if keep else cdf)
     if where is not None:
+        shape = (x.shape[0], weight.shape[0], h_out, w_out)
         data = _stem_scatter(data, where, shape)
         if keep:
             y, xn, cdf = (_stem_scatter(a, where, shape) for a in (y, xn, cdf))
-            inv = _stem_scatter(inv, where, (b_, 1, h_out, w_out))
+            inv = _stem_scatter(inv, where, (shape[0], 1, h_out, w_out))
 
     def vjp(g):
         gc, dgamma, dbeta = _layer_norm_grads(_gelu_grad(g, y, cdf), xn, inv,

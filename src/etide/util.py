@@ -1,4 +1,5 @@
-"""Small shared helpers: atomic file writes and the key=value config codec.
+"""Small shared helpers: atomic file writes, the binary-array check and the
+key=value config codec.
 
 Config text is one `key=value` per line in dataclass field order. Blank
 lines and lines starting with `#` are skipped. A nested dataclass field
@@ -14,6 +15,8 @@ import os
 import tempfile
 from dataclasses import fields, is_dataclass
 from typing import get_type_hints
+
+import numpy as np
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -33,6 +36,17 @@ def atomic_write_bytes(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def is_binary(arr: np.ndarray) -> bool:
+    """True when every element is 0 or 1.
+
+    Unsigned and bool arrays take one pass (their maximum); float and
+    signed arrays need the full test, which also rejects NaN and negatives.
+    """
+    if arr.dtype.kind in "ub":
+        return arr.size == 0 or bool(arr.max() <= 1)
+    return bool(np.all((arr == 0) | (arr == 1)))
 
 
 def config_to_text(cfg) -> str:

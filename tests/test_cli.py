@@ -18,6 +18,7 @@ from etide.losses import LossConfig
 from etide.metrics import MetricAccumulator
 from etide.model import (ModelConfig, init_params, load_checkpoint,
                          save_checkpoint)
+from etide.numerics import gradcheck, op_suite_cases
 from etide.training import (SequenceDataset, TrainConfig, load_dataset,
                             make_moving_bar_dataset, predict, save_dataset)
 from etide.util import config_to_text
@@ -398,6 +399,16 @@ class TestVerificationCommands:
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("check=")]
         assert lines and all("status=PASS" in l for l in lines)
+
+    def test_gradcheck_prints_one_line_per_case(self, monkeypatch, capsys):
+        # the printed rows follow the op-suite table, one line each, in
+        # order; the checks are stubbed (test_gradcheck_passes runs them)
+        monkeypatch.setattr(gradcheck, "grad_check",
+                            lambda fn, params, eps: 0.0)
+        assert main(["gradcheck"]) == 0
+        names = [l.split()[0] for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("check=")]
+        assert names == [f"check={name}" for name in op_suite_cases()]
 
     def test_bench_record_line(self, tmp_path, capsys):
         cfg_file = tmp_path / "model.cfg"

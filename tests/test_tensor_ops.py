@@ -247,7 +247,20 @@ class TestConv2d:
         (ops.conv2d, (1, 2, 6, 6), (2, 1, 3, 3), dict(stride=2), "stride"),
         (ops.conv2d, (1, 2, 6, 6), (3, 1, 3, 3), {}, "channel"),
         (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 5), {}, "square"),
-        (ops.upsample2_conv2d, (2, 6, 6), (3, 2, 3, 3), {}, "4-d"),
+        (ops.conv2d, (2, 6, 6), (3, 2, 3, 3), dict(upsample=True), "4-d"),
+        # the upsample route runs only a stride-1, undilated "same" conv
+        # with a dense weight
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3),
+         dict(upsample=True, padding=1, stride=2), "upsample needs stride"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3),
+         dict(upsample=True, padding=1, dilation=2),
+         "upsample needs dilation"),
+        (ops.conv2d, (1, 2, 6, 6), (2, 1, 3, 3), dict(upsample=True, padding=1),
+         "weight channel dim 1"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3), dict(upsample=True, padding=0),
+         "upsample needs padding 1, got 0"),
+        (ops.conv2d, (1, 2, 6, 6), (3, 2, 5, 5), dict(upsample=True, padding=1),
+         "upsample needs padding 2, got 1"),
         # non-integers raised TypeError from inside numpy
         (ops.conv2d, (1, 2, 6, 6), (3, 2, 3, 3), dict(stride=2.0),
          "stride must be an integer"),
@@ -257,7 +270,9 @@ class TestConv2d:
          "dilation must be an integer"),
     ], ids=["stride0", "padding-1", "x-3d", "w-2d", "dense-dilation2",
             "dilation0", "depthwise-stride2", "channel", "non-square",
-            "upsample2-x-3d", "stride-float", "padding-float",
+            "upsample-x-3d", "upsample-stride2", "upsample-dilation2",
+            "upsample-depthwise", "upsample-padding0", "upsample-k5-padding1",
+            "stride-float", "padding-float",
             "dilation-float"])
     def test_bad_arguments_raise_shape_error(self, op, x_shape, w_shape,
                                              kwargs, match):
@@ -276,7 +291,7 @@ def _grads(fn, tensors, weights):
 
 
 class TestUpsample2Conv:
-    """upsample2_conv2d against conv2d on the upsampled input."""
+    """conv2d(upsample=True) against conv2d on the upsampled input."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_float64_matches_upsample_then_conv(self, k):
@@ -284,7 +299,8 @@ class TestUpsample2Conv:
         x, w, b = (Parameter(rng.normal(size=s), n, dtype=np.float64)
                    for s, n in (((2, 3, 5, 4), "x"), ((4, 3, k, k), "w"),
                                 ((4,), "b")))
-        fused = lambda: ops.upsample2_conv2d(x, w, b)
+        fused = lambda: ops.conv2d(x, w, b, padding=(k - 1) // 2,
+                                   upsample=True)
         split = lambda: ops.conv2d(upsample_on_tape(x), w, b,
                                    padding=(k - 1) // 2)
         assert fused().data.shape == (2, 4, 10, 8)
@@ -303,7 +319,8 @@ class TestUpsample2Conv:
         x, w, b = (Parameter(rng.uniform(-1, 1, size=s), n, dtype=np.float32)
                    for s, n in (((1, 24, 8, 6), "x"), ((16, 24, k, k), "w"),
                                 ((16,), "b")))
-        fused = lambda: ops.upsample2_conv2d(x, w, b)
+        fused = lambda: ops.conv2d(x, w, b, padding=(k - 1) // 2,
+                                   upsample=True)
         split = lambda: ops.conv2d(upsample_on_tape(x), w, b,
                                    padding=(k - 1) // 2)
         eps = np.finfo(np.float32).eps
@@ -319,18 +336,20 @@ class TestUpsample2Conv:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(1, 2, 3, 5))
         w = rng.normal(size=(3, 2, 3, 3))
-        got = ops.upsample2_conv2d(Tensor(x, dtype=np.float64),
-                                   Tensor(w, dtype=np.float64)).data
+        got = ops.conv2d(Tensor(x, dtype=np.float64),
+                         Tensor(w, dtype=np.float64), padding=1,
+                         upsample=True).data
         expected = conv2d_oracle(upsample_oracle(x), w, padding=1)
         assert np.allclose(got, expected, atol=1e-10)
 
     def test_rejects_even_kernel_and_channel_mismatch(self):
         with pytest.raises(ShapeError, match="odd"):
-            ops.upsample2_conv2d(Tensor(np.zeros((1, 2, 3, 3))),
-                                 Tensor(np.zeros((1, 2, 2, 2))))
+            ops.conv2d(Tensor(np.zeros((1, 2, 3, 3))),
+                       Tensor(np.zeros((1, 2, 2, 2))), upsample=True)
         with pytest.raises(ShapeError, match="channel"):
-            ops.upsample2_conv2d(Tensor(np.zeros((1, 2, 3, 3))),
-                                 Tensor(np.zeros((1, 3, 3, 3))))
+            ops.conv2d(Tensor(np.zeros((1, 2, 3, 3))),
+                       Tensor(np.zeros((1, 3, 3, 3))), padding=1,
+                       upsample=True)
 
 
 class TestDepthwise:
@@ -685,17 +704,18 @@ def stem_inputs(kind, dtype):
     return x.astype(dtype)
 
 
-def stem_params(dtype):
-    """A 2 -> 32 channel stem, which conv2d runs by im2col."""
+def stem_params(dtype, cout=32, cin=2):
+    """A cin -> cout stage; 2 -> 32 is the stem, which conv2d runs by
+    im2col."""
     rng = np.random.default_rng(12)
     return [Parameter(rng.uniform(lo, hi, size=shape), name, dtype=dtype)
             for name, shape, lo, hi in (
-                ("w", (32, 2, 3, 3), -0.5, 0.5), ("b", (32,), -0.5, 0.5),
-                ("g", (32,), 0.5, 1.5), ("be", (32,), -0.5, 0.5))]
+                ("w", (cout, cin, 3, 3), -0.5, 0.5), ("b", (cout,), -0.5, 0.5),
+                ("g", (cout,), 0.5, 1.5), ("be", (cout,), -0.5, 0.5))]
 
 
-def dense_stem(x, w, b, g, be, stride=2, padding=1):
-    h = ops.conv2d(x, w, b, stride=stride, padding=padding)
+def dense_stem(x, w, b, g, be, stride=2, padding=1, upsample=False):
+    h = ops.conv2d(x, w, b, stride=stride, padding=padding, upsample=upsample)
     return ops.gelu(ops.layer_norm_channels(h, g, be))
 
 
@@ -704,15 +724,21 @@ class TestSparseStem:
 
     @staticmethod
     def _run(op, x, params, record):
+        """op's output and, under a tape, the gradients of params and of x
+        when it is a Parameter."""
+        leaves = params + ([x] if isinstance(x, Parameter) else [])
+        x = x if isinstance(x, Tensor) else Tensor(x)
         if not record:
-            return op(Tensor(x), *params).data, None
-        proj = np.random.default_rng(13).uniform(
-            -1.0, 1.0, size=(x.shape[0], params[0].shape[0], 16, 16))
+            return op(x, *params).data, None
+        for t in leaves:
+            t.grad = None
         with Tape() as tape:
-            out = op(Tensor(x), *params)
+            out = op(x, *params)
+            proj = np.random.default_rng(13).uniform(-1.0, 1.0,
+                                                     size=out.shape)
             loss = ops.weighted_sum(out, proj.astype(x.dtype))
         tape.backward(loss)
-        return out.data, [p.grad for p in params]
+        return out.data, [t.grad for t in leaves]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("record", [False, True])
@@ -740,6 +766,31 @@ class TestSparseStem:
             assert ([g.tobytes() for g in got_grads]
                     == [g.tobytes() for g in want_grads])
         assert (routes or ["dense"]) == [route]
+
+    # every other stage runs dense: enc1 (32 -> 8 channels at stride 2, on
+    # the stride phases) and a decoder stage (upsample), input gradient too
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("x_shape,cout,kwargs", [
+        ((3, 32, 16, 16), 8, dict(stride=2)),
+        ((2, 40, 8, 8), 48, dict(stride=1, upsample=True))],
+        ids=["enc1", "dec"])
+    def test_stage_bytes_match_dense_ops(self, monkeypatch, dtype, record,
+                                         x_shape, cout, kwargs):
+        x = Parameter(np.random.default_rng(14).normal(size=x_shape), "x",
+                      dtype=dtype)
+        params = stem_params(dtype, cout=cout, cin=x_shape[1])
+        want, want_grads = self._run(
+            lambda *a: dense_stem(*a, padding=1, **kwargs), x, params, record)
+        monkeypatch.setattr(ops, "_stem_active", None)  # sparse would call it
+        got, got_grads = self._run(
+            lambda *a: ops.conv_ln_gelu(*a, padding=1, **kwargs), x, params,
+            record)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        if record:
+            assert len(got_grads) == 5
+            assert ([g.tobytes() for g in got_grads]
+                    == [g.tobytes() for g in want_grads])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_background_is_gelu_ln_bias(self, dtype):
@@ -773,6 +824,11 @@ class TestSparseStem:
         with Tape() as tape:
             ops.conv_ln_gelu(x, w, b, g, be, stride=2, padding=1)
         assert len(tape) == 1
+        w, b, g, be = stem_params(np.float32, cout=4, cin=3)
+        x = Parameter(np.ones((1, 3, 4, 4)), "x", dtype=np.float32)
+        with Tape() as tape:
+            out = ops.conv_ln_gelu(x, w, b, g, be, padding=1, upsample=True)
+        assert len(tape) == 1 and out.shape == (1, 4, 8, 8)
 
     def test_rejects_bad_shapes(self):
         w, b, g, be = stem_params(np.float32)
