@@ -17,8 +17,8 @@ for group, n in widths.items():
     print(f"  {group:8s} {n:8d}")
 print(f"  {'total':8s} {count_params(model):8d}")
 
-print(f"\nestimated activations a recording (training) forward keeps at "
-      f"batch 1: {estimate_activation_bytes(cfg) / 1e6:.0f} MB")
+print(f"\nactivations a recording (training) forward keeps at batch 1, "
+      f"measured: {estimate_activation_bytes(cfg) / 1e6:.0f} MB")
 
 record = benchmark(model, iters=20, warmup=3, seed=0)
 print(f"\n{cfg.t_in}->{cfg.t_out} forward at {cfg.height}x{cfg.width}, "

@@ -41,9 +41,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_size(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
-        return int(h), int(w)
+        h, w = int(h), int(w)
     except ValueError:
         raise ValueError(f"--size expects HxW, got {text!r}") from None
+    if h < 1 or w < 1:
+        raise ValueError(f"--size must be positive, got {text!r}")
+    return h, w
 
 
 def _parse_objects(text: str) -> tuple[int, int]:
@@ -133,13 +136,6 @@ def _cmd_eval(args) -> int:
     if not os.path.isdir(args.data):
         raise OSError(f"data directory not found: {args.data}")
     dataset = load_dataset(args.data)
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    cfg = model.config
-    if (dataset.t_in, dataset.t_out) != (cfg.t_in, cfg.t_out) or \
-            (dataset.height, dataset.width) != (cfg.height, cfg.width):
-        raise ValueError("dataset does not match the checkpoint model")
-
     taus = _GRID_TAUS if args.threshold_grid else ()
     report = rollout_eval(model, dataset, taus=taus)
     print("model " + format_record(report["model"]))

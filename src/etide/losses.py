@@ -97,8 +97,10 @@ def ddr_loss(probs: Tensor, targets: np.ndarray, tau: float,
     diff_pred = ops.reshape(ops.frame_diff(probs), (rows, 2 * h * w))
     p = ops.softmax_temp(diff_pred, tau)
 
-    tgt = np.asarray(targets, dtype=probs.dtype)
-    diff_tgt = (tgt[:, 1:] - tgt[:, :-1]).reshape(rows, 2 * h * w)
+    # in the probabilities' dtype, without a float copy of the targets
+    tgt = np.asarray(targets)
+    diff_tgt = np.subtract(tgt[:, 1:], tgt[:, :-1], dtype=probs.dtype)
+    diff_tgt = diff_tgt.reshape(rows, 2 * h * w)
     q = ops.softmax_temp(Tensor(diff_tgt), tau)
 
     kl = ops.kl_div(p, q, eps=eps)

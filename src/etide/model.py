@@ -72,10 +72,11 @@ class ModelConfig:
             if min(value, default=1) < 1:
                 raise ValueError(f"{name} entries must be >= 1, got {value}")
         div = 2 ** self.stages
-        if self.height % div or self.width % div:
-            raise ValueError(
-                f"height/width {self.height}x{self.width} must be divisible "
-                f"by 2^stages = {div}")
+        for name in ("height", "width"):
+            value = getattr(self, name)
+            if value < 1 or value % div:
+                raise ValueError(f"{name} must be positive and divisible by "
+                                 f"2^stages = {div}, got {value}")
         for name in ("k_resample", "k_mix1", "k_mix2"):
             k = getattr(self, name)
             if k % 2 == 0 or k < 1:

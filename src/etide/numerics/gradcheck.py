@@ -16,7 +16,7 @@ own mask stream) are written out.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,15 +29,13 @@ def relative_error(a: float, n: float) -> float:
 
 
 def grad_check(fn: Callable[[], Tensor], params: Iterable[Parameter],
-               eps: float = 1e-5,
-               max_entries_per_param: Optional[int] = None,
-               rng: Optional[np.random.Generator] = None) -> float:
-    """Return the worst relative error between tape and numeric gradients.
+               eps: float = 1e-5) -> float:
+    """Return the worst relative error between tape and numeric gradients
+    over every entry of every parameter.
 
     fn must rebuild the scalar loss from the current parameter values on
     every call; parameters are perturbed in place for the difference
-    quotients. With max_entries_per_param set, a seeded subsample of each
-    tensor's entries is checked instead of all of them.
+    quotients.
     """
     params = list(params)
     for p in params:
@@ -55,12 +53,7 @@ def grad_check(fn: Callable[[], Tensor], params: Iterable[Parameter],
     for p, a in zip(params, analytic):
         flat = p.data.reshape(-1)
         a_flat = a.reshape(-1)
-        idx = np.arange(flat.size)
-        if max_entries_per_param is not None and flat.size > max_entries_per_param:
-            sampler = rng if rng is not None else np.random.default_rng(0)
-            idx = sampler.choice(flat.size, size=max_entries_per_param,
-                                 replace=False)
-        for i in idx:
+        for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
             f_plus = fn().item()
@@ -251,8 +244,7 @@ def run_op_suite(seeds=(0, 1, 2, 3, 4), eps: float = 1e-5,
     return results
 
 
-def check_model_gradients(seed: int = 171, eps: float = 1e-5,
-                          max_entries_per_param: Optional[int] = None) -> float:
+def check_model_gradients(seed: int = 171, eps: float = 1e-5) -> float:
     """Gradient-check the composed forward + loss on a small configuration.
 
     The evaluation point matters more than usual here, so the default seed
@@ -291,6 +283,4 @@ def check_model_gradients(seed: int = 171, eps: float = 1e-5,
         logits = model.forward(Tensor(x, dtype=np.float64), training=False)
         return total_loss(logits, y, lcfg)
 
-    return grad_check(fn, model.parameters(), eps=eps,
-                      max_entries_per_param=max_entries_per_param,
-                      rng=np.random.default_rng(seed + 7))
+    return grad_check(fn, model.parameters(), eps=eps)

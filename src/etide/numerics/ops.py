@@ -74,6 +74,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import erf
 
+from ..util import is_binary
 from .tensor import Tensor, active_tape, as_tensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -999,7 +1000,7 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     if y.shape != logits.shape:
         raise ShapeError(
             f"focal_loss_map: target shape {y.shape} != logits {logits.shape}")
-    if not np.all((y == 0) | (y == 1)):
+    if not is_binary(y):
         raise ValueError("focal_loss_map: targets must be binary {0,1}")
     y = y.astype(logits.dtype, copy=False)
     log_eps = math.log(eps)

@@ -22,7 +22,8 @@ from .events import (DEFAULT_BIN_US, OccurrenceTensor, bin_events,
                      random_bar_scene, read_ocm, synth_scene, write_ocm)
 from .losses import LossConfig, total_loss
 from .metrics import MetricAccumulator, binarize
-from .model import ModelConfig, TideModel, count_params, save_checkpoint
+from .model import (ModelConfig, TideModel, count_params, init_params,
+                    save_checkpoint)
 from .numerics import Tape, Tensor, ops
 from .util import atomic_write_bytes, is_binary
 
@@ -295,6 +296,21 @@ def split_indices(n: int, val_split: float) -> tuple[list[int], list[int]]:
     return list(range(n - n_val)), list(range(n - n_val, n))
 
 
+def _check_dataset(dataset: SequenceDataset, cfg: ModelConfig) -> None:
+    """Raise ValueError if the dataset is empty, or if its windows or
+    frames do not match the model's."""
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
+    if (dataset.t_in, dataset.t_out) != (cfg.t_in, cfg.t_out):
+        raise ValueError(
+            f"dataset windows {dataset.t_in}->{dataset.t_out} do not match "
+            f"model {cfg.t_in}->{cfg.t_out}")
+    if (dataset.height, dataset.width) != (cfg.height, cfg.width):
+        raise ValueError(
+            f"dataset frames {dataset.height}x{dataset.width} do not match "
+            f"model {cfg.height}x{cfg.width}")
+
+
 def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
           out_dir=None, state: AdamState | None = None, log=None
           ) -> tuple[TideModel, list[dict]]:
@@ -308,17 +324,7 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
     naming the epoch, the step and the first bad parameter, before the
     weights change; no checkpoint is written for that epoch.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    if dataset.t_in != cfg.model.t_in or dataset.t_out != cfg.model.t_out:
-        raise ValueError(
-            f"dataset windows {dataset.t_in}->{dataset.t_out} do not match "
-            f"model {cfg.model.t_in}->{cfg.model.t_out}")
-    if (dataset.height, dataset.width) != (cfg.model.height, cfg.model.width):
-        raise ValueError(
-            f"dataset frames {dataset.height}x{dataset.width} do not match "
-            f"model {cfg.model.height}x{cfg.model.width}")
-
+    _check_dataset(dataset, cfg.model)
     if state is None:
         state = AdamState(model)
     train_idx, val_idx = split_indices(len(dataset), cfg.val_split)
@@ -332,7 +338,7 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
         for step, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[start:start + cfg.batch_size]
             x = dataset.inputs[batch].astype(np.float32)
-            y = dataset.targets[batch].astype(np.float32)
+            y = dataset.targets[batch]  # uint8: the loss casts it
             droppath_rng = np.random.default_rng(
                 [cfg.seed, _DROPPATH_TAG, epoch, step])
             model.zero_grad()
@@ -408,8 +414,11 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
 
     Each tau in taus also scores the model's masks at the fixed threshold
     probs >= tau, from the same forecast; those rows are returned in
-    order as report["grid"], a list of (tau, scores) pairs.
+    order as report["grid"], a list of (tau, scores) pairs. An empty
+    dataset, or one whose windows or frames do not match the model's,
+    raises ValueError.
     """
+    _check_dataset(dataset, model.config)
     if indices is None:
         indices = range(len(dataset))
     acc_model = MetricAccumulator()
@@ -431,39 +440,44 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
 # benchmarking
 # ---------------------------------------------------------------------------
 
-def estimate_activation_bytes(cfg: ModelConfig, batch: int = 1,
-                              bytes_per_value: int = 4) -> int:
+def _traced_bytes(fn) -> tuple[int, int]:
+    """Run fn() under tracemalloc and return (bytes still live after it,
+    its result included, peak during it), both above the bytes held before
+    the call. A caller's running trace is left running, with its peak
+    reset."""
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()  # held, so that its bytes count as live
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return live - base, peak - base
+
+
+def estimate_activation_bytes(cfg: ModelConfig, batch: int = 1) -> int:
     """Bytes a recording forward (training=True under a Tape) keeps alive
-    until backward, counted from the shapes: the input, every op output
-    that is not a view, and what the backward closures save (the normalized
-    copy and 1/std per location in layer_norm_channels, the cdf in gelu,
-    1 + U in the gated product, the activity mask). Parameters and
-    transient buffers are left out. At the learning-check config, batch 4,
-    it reads 112.2 MiB against 112.2 MiB that tracemalloc measures live
-    after the forward, input included."""
-    h, w = cfg.height, cfg.width
-    d = cfg.packed_channels
-    frames = batch * cfg.t_in
-    values = frames * 2 * h * w  # input
-    # every encoder and decoder stage (conv_ln_gelu) keeps its norm and
-    # the normalized copy, gelu and its cdf, and 1/std; no conv output
-    widths = (2,) + tuple(cfg.enc_widths) + (cfg.c_step,)
-    for s in range(1, cfg.stages + 1):
-        plane = (h // 2 ** s) * (w // 2 ** s)
-        values += frames * (4 * widths[s] + 1) * plane
-    hp, wp = cfg.grid
-    # two norms with their copies, two depthwise, pointwise, 1 + U, the
-    # gated product, two adds, the ffn (1x1, gelu and its cdf, 1x1), two
-    # 1/std planes and the mask; drop-path scales both branches
-    per_block = (12 + 3 * cfg.ffn_expansion) * d + 3
-    if cfg.droppath_rate > 0.0:
-        per_block += 2 * d
-    values += cfg.n_blocks * batch * per_block * hp * wp
-    for i, width_out in enumerate(cfg.dec_widths):
-        up = (hp * 2 ** (i + 1)) * (wp * 2 ** (i + 1))
-        values += batch * (4 * width_out + 1) * up
-    values += batch * cfg.t_out * 2 * h * w  # head; its reshape is a view
-    return values * bytes_per_value
+    until backward, measured with tracemalloc: the input and everything the
+    tape holds after one such forward of init_params(cfg, seed=0) on a
+    fixed 25%-dense binary input (the density moves it by under 0.1%).
+    Parameters are left out. At the learning-check config, batch 4, it
+    reads 112.2 MiB."""
+    model = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.random((batch, cfg.t_in, 2, cfg.height, cfg.width)) < 0.25
+
+    def forward():
+        with Tape() as tape:
+            logits = model.forward(Tensor(x.astype(model.dtype)),
+                                   training=True, rng=rng)
+        return tape, logits
+
+    return _traced_bytes(forward)[0]
 
 
 def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
@@ -486,18 +500,8 @@ def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
         t0 = time.perf_counter()
         model.forward(x, training=False)
         times[i] = (time.perf_counter() - t0) * 1e3
-    tracing = tracemalloc.is_tracing()
-    if tracing:
-        tracemalloc.reset_peak()
-    else:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        model.forward(x, training=False)
-        traced_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    traced_peak = _traced_bytes(
+        lambda: model.forward(x, training=False))[1]
     return {
         "median_ms": float(np.median(times)),
         "p95_ms": float(np.percentile(times, 95)),

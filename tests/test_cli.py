@@ -126,9 +126,11 @@ class TestSynth:
                      "manifest.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_bad_size_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("size", ["16by16", "0x0", "16x0", "-16x16"])
+    def test_bad_size_is_validation_error(self, tmp_path, capsys, size):
         assert main(["synth", "--out", str(tmp_path / "d"),
-                     "--sequences", "1", "--size", "16by16"]) == 2
+                     "--sequences", "1", f"--size={size}"]) == 2
+        assert "--size" in capsys.readouterr().err
 
     def test_bad_objects_range(self, tmp_path):
         assert main(synth_args(tmp_path / "d", 1)
@@ -330,6 +332,18 @@ class TestPredictEval:
         assert set(record) == {"iou_on", "iou_off", "miou", "aiou",
                                "mse", "ssim"}
         float(record["aiou"])
+
+    @pytest.mark.parametrize("count,size,message", [
+        (0, "16x16", "dataset is empty"),
+        (1, "32x32", "frames 32x32 do not match model 16x16"),
+    ])
+    def test_eval_dataset_mismatch_exits_2(self, tmp_path, ckpt, capsys,
+                                           count, size, message):
+        data = tmp_path / "data"
+        assert main(synth_args(data, count, size=size)) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_eval_threshold_grid_rows(self, tmp_path, ckpt, capsys):
         data = tmp_path / "data"

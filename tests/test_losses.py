@@ -153,6 +153,29 @@ class TestPolarityFocal:
         with pytest.raises(ValueError, match="binary"):
             polarity_focal(Tensor(logits), targets, LossConfig())
 
+    def test_uint8_targets_match_float32(self):
+        # train() hands total_loss its uint8 target batch uncast
+        logits, targets = random_instance(3)
+        results = []
+        for y in (targets, targets.astype(np.uint8)):
+            param = Parameter(logits, "s")
+            with Tape() as tape:
+                loss = total_loss(param, y, LossConfig())
+                tape.backward(loss)
+            results.append((loss.data.tobytes(), param.grad.tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("bad,dtype", [
+        (0.5, np.float32), (2.0, np.float32), (np.nan, np.float32),
+        (2, np.uint8),
+    ])
+    def test_focal_map_rejects_nonbinary_values(self, bad, dtype):
+        logits, targets = random_instance(0)
+        targets = targets.astype(dtype)
+        targets[1, 2, 1, 3, 3] = bad
+        with pytest.raises(ValueError, match="binary"):
+            ops.focal_loss_map(Tensor(logits), targets, 0.75, 2.0)
+
     def test_gradient_signs(self):
         cfg = LossConfig()
         logits, targets = random_instance(2, shape=(1, 2, 2, 3, 3))

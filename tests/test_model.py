@@ -59,9 +59,14 @@ def binary_input(cfg, batch=1, seed=0, density=0.15):
 
 
 class TestConfig:
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(height=130, width=128)
+    @pytest.mark.parametrize("height,width,field", [
+        (130, 128, "height"), (128, 66, "width"), (-4, -4, "height"),
+        (0, 128, "height"), (128, 0, "width"),
+    ])
+    def test_divisibility_enforced(self, height, width, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive "
+                                             "and divisible"):
+            ModelConfig(height=height, width=width)
 
     def test_width_lists_must_match_stages(self):
         with pytest.raises(ValueError, match="enc_widths"):
