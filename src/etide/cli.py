@@ -141,9 +141,8 @@ def _cmd_eval(args) -> int:
     print("model " + format_record(report["model"]))
     print("persistence " + format_record(report["persistence"]))
     for tau, scores in report["grid"]:
-        print(f"grid tau={tau:.1f} iou_on={scores['iou_on']:.6f} "
-              f"iou_off={scores['iou_off']:.6f} "
-              f"miou={scores['miou']:.6f} aiou={scores['aiou']:.6f}")
+        print(f"grid tau={tau:.1f} " + format_record(
+            {k: scores[k] for k in ("iou_on", "iou_off", "miou", "aiou")}))
     print(format_table(report["model"]))
     return 0
 

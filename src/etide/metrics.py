@@ -111,10 +111,11 @@ def ssim(x: np.ndarray, y: np.ndarray) -> float:
     taken fully inside the image, so both sides must be at least 11 wide.
     The window is separable, so each local mean is two passes of the
     normalised 1-D Gaussian, along H on the image and then along H again on
-    a transposed copy, each line one BLAS gemv. An image equal to its own
-    square (0/1 images) reuses its local mean as the mean of its square
-    instead of filtering it again, which changes no bits. The score agrees
-    with a nested-loop evaluation of the same formula within 1e-12.
+    a transposed copy, each line one BLAS gemv. A 0/1 image (util.is_binary)
+    equals its own square, so it reuses its local mean as the mean of its
+    square instead of squaring and filtering again, which changes no bits.
+    The score agrees with a nested-loop evaluation of the same formula
+    within 1e-12.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -126,10 +127,8 @@ def ssim(x: np.ndarray, y: np.ndarray) -> float:
 
     mu_x = _gaussian_mean(x)
     mu_y = _gaussian_mean(y)
-    sq_x, sq_y = x * x, y * y
-    mean_xx = mu_x if np.array_equal(sq_x, x) else _gaussian_mean(sq_x)
-    mean_yy = mu_y if np.array_equal(sq_y, y) else _gaussian_mean(sq_y)
-    del sq_x, sq_y
+    mean_xx = mu_x if is_binary(x) else _gaussian_mean(x * x)
+    mean_yy = mu_y if is_binary(y) else _gaussian_mean(y * y)
     mean_xy = _gaussian_mean(x * y)
     mu_xx, mu_yy, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y
     # (2 mu_x mu_y + C1)(2 cov + C2) / ((mu_x^2 + mu_y^2 + C1)(var_x + var_y
@@ -234,9 +233,11 @@ class MetricAccumulator:
         }
 
 
-def format_record(metrics: dict) -> str:
-    """Single machine-readable key=value line in a fixed key order."""
-    return " ".join(f"{key}={metrics[key]:.6f}" for key in _METRIC_KEYS)
+def format_record(record: dict) -> str:
+    """Single machine-readable key=value line: every key in the record's
+    order, floats to 6 decimals."""
+    return " ".join(f"{key}={value:.6f}" if isinstance(value, float)
+                    else f"{key}={value}" for key, value in record.items())
 
 
 def format_table(metrics: dict) -> str:

@@ -51,17 +51,15 @@ def grad_check(fn: Callable[[], Tensor], params: Iterable[Parameter],
 
     worst = 0.0
     for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
+        for i in np.ndindex(p.shape):  # p.data itself, at any strides
+            orig = p.data[i]
+            p.data[i] = orig + eps
             f_plus = fn().item()
-            flat[i] = orig - eps
+            p.data[i] = orig - eps
             f_minus = fn().item()
-            flat[i] = orig
+            p.data[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
-            worst = max(worst, relative_error(float(a_flat[i]), numeric))
+            worst = max(worst, relative_error(float(a[i]), numeric))
     return worst
 
 

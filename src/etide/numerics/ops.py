@@ -34,10 +34,11 @@ before:
 conv_ln_gelu (conv -> layer norm -> GELU) is every encoder and decoder
 stage of the model, one tape node each, with the bytes of conv2d,
 layer_norm_channels and gelu. Where conv2d takes im2col (the stem, enc0:
-2 -> 32 channels at stride 2), it computes only the output locations
-whose input window holds a nonzero value, as the columns of one im2col
-GEMM, then LN and GELU channel-major; every other location gets the
-background gelu(LN(bias)):
+2 -> 32 channels at stride 2), it builds the im2col matrix once; a column
+holds an output location's input window, so the columns with a nonzero
+value are the active locations. The GEMM runs on those columns alone, then
+LN and GELU channel-major; every other location gets the background
+gelu(LN(bias)):
 
 * full-config forecast windows, 4-14% of locations active: 3.0-7.6 ms
   against 24-28 ms for conv2d, layer_norm_channels and gelu; under a tape
@@ -46,11 +47,11 @@ background gelu(LN(bias)):
 * random events at the same shape: 60% active, 31.7 against 34.6 ms;
   77%, 38.9 against 35.1 ms; 99% (etide bench's input), 55 against 41 ms.
   Above 50% active, or when an output plane is not a whole number of
-  8-column GEMM groups, it runs the dense kernels instead.
+  8-column GEMM groups, the GEMM runs on the whole matrix instead.
 
 Every other stage (enc1, and the decoder with upsample=True) runs conv2d's
-kernel densely, adding the bias into the conv buffer. Either route centres
-that buffer in place for LN, and the tape keeps no conv output.
+kernel densely. Every route then adds the bias into the conv buffer and
+centres it in place for LN, and the tape keeps no conv output.
 
 Backward passes rebuild padded inputs and columns from the saved input
 instead of keeping them on the tape.
@@ -692,28 +693,26 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(
             f"layer_norm_channels: gamma/beta must have shape ({c},), "
             f"got {gamma.shape} / {beta.shape}")
-    data, xn, inv = _layer_norm(x.data, gamma.data[None, :, None, None],
-                                beta.data[None, :, None, None], eps, axis=1)
+    data, xn, inv = _layer_norm(x.data, gamma.data, beta.data, eps)
     return _track(data, (x, gamma, beta), lambda g: _layer_norm_grads(
         g, xn, inv, gamma.data, x.requires_grad))
 
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float, axis: int, out: Optional[np.ndarray] = None):
-    """(data, xn, inv): x normalized over `axis`, its normalized copy and
-    1/std; gamma and beta broadcast against x. With more than one
-    location, the means add along `axis` in index order, in [B, C, H, W]
-    over axis 1 as in [C, M] over axis 0 (numpy sums a lone location's
-    channels pairwise). Two full-size buffers: xn (first x - mu, into `out`
-    when given) and data (first its square)."""
-    mu = x.mean(axis=axis, keepdims=True)
+                eps: float, out: Optional[np.ndarray] = None):
+    """(data, xn, inv): x[B, C, H, W] normalized over its channels, its
+    normalized copy and 1/std; gamma and beta are [C]. With more than one
+    location, the means add the channels in index order (numpy sums a lone
+    location's channels pairwise). Two full-size buffers: xn (first
+    x - mu, into `out` when given) and data (first its square)."""
+    mu = x.mean(axis=1, keepdims=True)
     xn = np.subtract(x, mu, out=out)
     data = np.multiply(xn, xn)
-    var = data.mean(axis=axis, keepdims=True)
+    var = data.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xn *= inv
-    np.multiply(gamma, xn, out=data)
-    data += beta
+    np.multiply(gamma[:, None, None], xn, out=data)
+    data += beta[:, None, None]
     return data, xn, inv
 
 
@@ -739,9 +738,10 @@ def _layer_norm_grads(g, xn, inv, gamma, need_dx: bool):
 
 # An output location whose k x k input window holds only zeros has conv
 # output = bias there, so gelu(layer_norm(bias)), the background, every
-# time. conv_ln_gelu computes the active locations as the columns of one
-# im2col GEMM, padded with zero windows to a whole number of
-# _GEMM_COLUMN_GROUP columns; the first padding column is the background.
+# time. Such a window is an all-zero column of _im2col's matrix, so
+# conv_ln_gelu selects the other columns, pads them with zero windows to a
+# whole number of _GEMM_COLUMN_GROUP columns and runs one GEMM on that
+# block; the first padding column is the background.
 # The padding keeps the bits: OpenBLAS computes a GEMM column the same way
 # wherever it sits, except that a single column goes to gemv and dgemm
 # gives a trailing group of 1-4 columns another kernel. So the sparse route
@@ -752,48 +752,36 @@ _STEM_MAX_ACTIVE = 0.5
 _GEMM_COLUMN_GROUP = 8
 
 
-def _stem_active(xd: np.ndarray, k: int, stride: int, padding: int,
-                 h_out: int, w_out: int) -> Optional[np.ndarray]:
-    """Flat indices b*h_out*w_out + p of the output locations whose input
-    window holds a nonzero value in any channel; None, for the dense route,
-    when the planes are not whole column groups or more than
-    _STEM_MAX_ACTIVE of the locations are active."""
-    if (h_out * w_out) % _GEMM_COLUMN_GROUP:
+def _stem_active(cols: np.ndarray) -> Optional[np.ndarray]:
+    """Flat indices b*M + p of the columns of cols[B, K, M] that hold a
+    nonzero value: the output locations whose window does. None, for the
+    dense route, when M is not a whole number of column groups or more than
+    _STEM_MAX_ACTIVE of the columns are active."""
+    if cols.shape[2] % _GEMM_COLUMN_GROUP:
         return None
-    nz = _pad2d(np.any(xd != 0, axis=1, keepdims=True), padding)
-    active = np.zeros((xd.shape[0], 1, h_out, w_out), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            active |= _tap(nz, i, j, stride, h_out, w_out)
+    active = cols.any(axis=1)
     where = np.flatnonzero(active)
     return None if where.size > _STEM_MAX_ACTIVE * active.size else where
 
 
-def _stem_columns(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                  where: np.ndarray, stride: int, padding: int,
-                  h_out: int, w_out: int) -> np.ndarray:
-    """Conv + bias [Cout, Mt] at the flat output locations `where`, then
-    zero-window columns up to Mt, the next multiple of _GEMM_COLUMN_GROUP
-    above len(where)."""
-    cin, k = xd.shape[1], wd.shape[2]
-    xp = _pad2d(xd, padding)
-    hp, wp = xp.shape[2:]
-    b_idx, p_idx = np.divmod(where, h_out * w_out)
-    oy, ox = np.divmod(p_idx, w_out)
-    origin = b_idx * (cin * hp * wp) + stride * (oy * wp + ox)
-    c, i, j = np.indices((cin, k, k)).reshape(3, -1)  # im2col row order
-    m = where.size
-    group = _GEMM_COLUMN_GROUP
-    cols = np.zeros((cin * k * k, (m // group + 1) * group), dtype=xd.dtype)
-    cols[:, :m] = xp.reshape(-1)[((c * hp + i) * wp + j)[:, None] + origin]
-    return np.matmul(wd.reshape(wd.shape[0], -1), cols) + bd[:, None]
+def _stem_columns(cols: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """[K, Mt]: the flat columns `where` of cols[B, K, M], then zero windows
+    up to Mt, the next multiple of _GEMM_COLUMN_GROUP above len(where)."""
+    m, group = where.size, _GEMM_COLUMN_GROUP
+    block = np.zeros((cols.shape[1], (m // group + 1) * group),
+                     dtype=cols.dtype)
+    b_idx, p_idx = np.divmod(where, cols.shape[2])
+    block[:, :m] = cols[b_idx, :, p_idx].T
+    return block
 
 
 def _stem_scatter(block: np.ndarray, where: np.ndarray,
                   shape: tuple) -> np.ndarray:
-    """[B, C, H, W] array holding column n of block[C, Mt] at flat location
-    where[n], and column len(where), the background, everywhere else."""
+    """[B, C, H, W] array holding column n of block[1, C, Mt, 1] at flat
+    location where[n], and column len(where), the background, everywhere
+    else."""
     m = where.size
+    block = block.reshape(shape[1], -1)
     out = np.empty((shape[0], shape[1], shape[2] * shape[3]),
                    dtype=block.dtype)
     out[...] = block[:, m, None]
@@ -809,13 +797,15 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
     upsample=upsample), gamma, beta, eps)), with the same bytes, as one op:
     every encoder and decoder stage of the model.
 
-    When conv2d would take im2col (the stem, enc0) and _stem_active finds
-    few enough active windows, only those locations are computed,
-    channel-major; the rest get the background. Otherwise conv2d's kernel
-    runs densely, adding the bias in place. LN centres the conv's buffer in
-    place; with the bias, that pays for holding x until the op returns.
-    The tape keeps LN's xn and 1/std, the LN output and GELU's cdf, dense
-    in either case, and no conv output; the backward is the three ops'.
+    When conv2d would take im2col (the stem, enc0), the im2col matrix is
+    built once. If _stem_active finds few enough nonzero columns, the GEMM
+    runs on _stem_columns' selection of them, as a [1, Cout, Mt, 1] block,
+    and _stem_scatter gives every other location the background; if not, on
+    the whole matrix. Any other stage runs conv2d's kernel. Each route then
+    adds the bias to the conv's buffer, and LN centres it in place; that
+    pays for holding x until the op returns. The tape keeps LN's xn and
+    1/std, the LN output and GELU's cdf, dense in every case, and no conv
+    output; the backward is the three ops'.
     """
     x, weight, conv, grads, (bias, gamma, beta) = _conv_route(
         "conv_ln_gelu", x, weight, stride, padding, 1, upsample, bias=bias,
@@ -825,30 +815,29 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
 
     where = None
     if conv.func is _im2col_conv:
-        k = weight.shape[2]
-        h_out, w_out = _conv_geometry(*x.shape[2:], k, stride, padding)
-        where = _stem_active(x.data, k, stride, padding, h_out, w_out)
-    if where is None:
-        c = np.ascontiguousarray(conv(x.data, weight.data))
-        c += bias.data[None, :, None, None]
-        y, xn, inv = _layer_norm(c, gamma.data[None, :, None, None],
-                                 beta.data[None, :, None, None], eps, axis=1,
-                                 out=c)
+        cout, _, k, _ = weight.shape
+        shape = (x.shape[0], cout,
+                 *_conv_geometry(*x.shape[2:], k, stride, padding))
+        cols = _im2col(x.data, k, stride, padding, *shape[2:])
+        where = _stem_active(cols)
+        if where is not None:
+            cols = _stem_columns(cols, where)
+        c = np.matmul(weight.data.reshape(cout, -1), cols)
+        del cols
+        c = c.reshape(shape) if where is None else c[None, :, :, None]
     else:
-        c = _stem_columns(x.data, weight.data, bias.data, where, stride,
-                          padding, h_out, w_out)
-        y, xn, inv = _layer_norm(c, gamma.data[:, None], beta.data[:, None],
-                                 eps, axis=0, out=c)
+        c = np.ascontiguousarray(conv(x.data, weight.data))
+    c += bias.data[:, None, None]
+    y, xn, inv = _layer_norm(c, gamma.data, beta.data, eps, out=c)
     if not keep:
         c = xn = inv = None  # free the conv buffer before GELU's
     cdf = _gelu_cdf(y)
     data = np.multiply(y, cdf, out=None if keep else cdf)
     if where is not None:
-        shape = (x.shape[0], weight.shape[0], h_out, w_out)
         data = _stem_scatter(data, where, shape)
         if keep:
             y, xn, cdf = (_stem_scatter(a, where, shape) for a in (y, xn, cdf))
-            inv = _stem_scatter(inv, where, (shape[0], 1, h_out, w_out))
+            inv = _stem_scatter(inv, where, (shape[0], 1, *shape[2:]))
 
     def vjp(g):
         gc, dgamma, dbeta = _layer_norm_grads(_gelu_grad(g, y, cdf), xn, inv,

@@ -21,7 +21,7 @@ import numpy as np
 from .events import (DEFAULT_BIN_US, OccurrenceTensor, bin_events,
                      random_bar_scene, read_ocm, synth_scene, write_ocm)
 from .losses import LossConfig, total_loss
-from .metrics import MetricAccumulator, binarize
+from .metrics import MetricAccumulator, binarize, format_record
 from .model import (ModelConfig, TideModel, count_params, init_params,
                     save_checkpoint)
 from .numerics import Tape, Tensor, ops
@@ -45,7 +45,9 @@ class TrainConfig:
     seed: int = 0
     checkpoint_interval: int = 1
     val_split: float = 0.1
-    grad_clip: float = 0.0  # global-norm limit; 0 disables
+    # global-norm limit; 0 disables. At initialisation the norm can read
+    # about 1e14 (train's docstring says why), and a limit clips that too.
+    grad_clip: float = 0.0
     loss: LossConfig = field(default_factory=LossConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
 
@@ -320,6 +322,13 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
     unbroken run would have done from that epoch on. Returns the model and
     one history record per completed epoch; its grad_norm is the mean over
     the epoch's steps of the global gradient norm before clipping.
+    At initialisation that norm is huge. The conv biases start at zero, so
+    at every event-free window a stage hands LayerNorm a constant channel
+    vector, and LN's backward scales it by 1/sqrt(eps) = 1000 per stage.
+    One batch-4 backward of the learning-check model (seed 0) on the first
+    four 128^2 moving-bar sequences of seed 0 gives a norm of 2.3e14, with
+    max |grad| 1.0e14 on enc0.conv.b. Epoch 1's grad_norm and any
+    grad_clip see this; Adam normalises its step, so training proceeds.
     Non-finite logits, loss or global gradient norm raise ValueError,
     naming the epoch, the step and the first bad parameter, before the
     weights change; no checkpoint is written for that epoch.
@@ -371,22 +380,12 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
                  if k in ("miou", "aiou")})
         history.append(record)
         if log is not None:
-            log(format_history_record(record))
+            log(format_record(record))
         if out_dir is not None and (epoch + 1) % cfg.checkpoint_interval == 0:
             ckpt = os.path.join(out_dir, f"ckpt_{epoch + 1:04d}.etw")
             save_checkpoint(ckpt, model)
             state.save(ckpt + ".opt.npz")
     return model, history
-
-
-def format_history_record(record: dict) -> str:
-    parts = []
-    for key, value in record.items():
-        if isinstance(value, float):
-            parts.append(f"{key}={value:.6f}")
-        else:
-            parts.append(f"{key}={value}")
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ def run_etide(args, blas_threads, python_args=("-m", "etide")):
 
 
 # SHA-256 of training.predict on one moving-bar window at the default
-# config, and the column counts of the sparse stem's GEMMs
+# config, and the column counts of the sparse stem's GEMMs: the column axis
+# of each [K, Mt] block that _stem_columns selects
 PREDICT_HASH = """
 import hashlib, json
 from etide import training
@@ -67,8 +68,8 @@ from etide.numerics import ops
 columns = ops._stem_columns
 counts = []
 
-def counted(*args):
-    block = columns(*args)
+def counted(cols, where):
+    block = columns(cols, where)
     counts.append(block.shape[1])
     return block
 ops._stem_columns = counted

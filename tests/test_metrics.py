@@ -352,6 +352,26 @@ class TestFidelity:
         for x, y in pairs:
             assert ssim(x, y) == pytest.approx(ssim_oracle(x, y), abs=1e-12)
 
+    def test_ssim_filters_squares_of_nonbinary_images_only(self,
+                                                           monkeypatch):
+        import etide.metrics as metrics
+        calls = []
+        mean = metrics._gaussian_mean
+
+        def counted(img):
+            calls.append(img)
+            return mean(img)
+        monkeypatch.setattr(metrics, "_gaussian_mean", counted)
+        rng = np.random.default_rng(43)
+        binary = (rng.random((14, 14)) < 0.3).astype(np.float64)
+        probs = rng.random((14, 14))
+        # mu_x, mu_y, mean_xy, plus one square per non-binary image
+        for x, y, n in ((binary, binary, 3), (binary, probs, 4),
+                        (probs, binary, 4), (probs, probs, 5)):
+            calls.clear()
+            ssim(x, y)
+            assert len(calls) == n
+
     def test_ssim_penalizes_noise(self):
         rng = np.random.default_rng(37)
         x = (rng.random((20, 20)) < 0.3).astype(np.float64)
@@ -393,6 +413,12 @@ def test_format_record_single_line():
     parsed = dict(part.split("=") for part in line.split())
     assert set(parsed) == {"iou_on", "iou_off", "miou", "aiou", "mse", "ssim"}
     assert float(parsed["miou"]) == 1.0
+
+
+def test_format_record_keeps_the_record_order():
+    # train's epoch records: an int as is, floats to 6 decimals
+    assert (format_record({"epoch": 2, "train_loss": 0.5, "aiou": 1.0})
+            == "epoch=2 train_loss=0.500000 aiou=1.000000")
 
 
 def test_format_table_mentions_every_metric():

@@ -754,9 +754,9 @@ class TestSparseStem:
         routes = []
         columns = ops._stem_columns
 
-        def sparse_columns(*args):
+        def sparse_columns(cols, where):
             routes.append("sparse")
-            return columns(*args)
+            return columns(cols, where)
         monkeypatch.setattr(ops, "_stem_columns", sparse_columns)
         got, got_grads = self._run(
             lambda *a: ops.conv_ln_gelu(*a, stride=2, padding=1), x,
@@ -766,6 +766,35 @@ class TestSparseStem:
             assert ([g.tobytes() for g in got_grads]
                     == [g.tobytes() for g in want_grads])
         assert (routes or ["dense"]) == [route]
+
+    @pytest.mark.parametrize("kind", ["border", "single", "zeros", "0.01"])
+    def test_active_columns_are_the_windows_with_events(self, kind):
+        # a location is active when its 3x3 stride-2 window, padded with
+        # zeros, holds a nonzero value in any channel
+        x = stem_inputs(kind, np.float32)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        want = np.zeros((3, 16, 16), dtype=bool)
+        for oy in range(16):
+            for ox in range(16):
+                window = xp[:, :, 2 * oy:2 * oy + 3, 2 * ox:2 * ox + 3]
+                want[:, oy, ox] = (window != 0).any(axis=(1, 2, 3))
+        where = ops._stem_active(ops._im2col(x, 3, 2, 1, 16, 16))
+        assert np.array_equal(where, np.flatnonzero(want))
+
+    @pytest.mark.parametrize("kind", ["ones", "0.01"])
+    def test_builds_im2col_once(self, monkeypatch, kind):
+        # the activity test, the sparse columns and the dense fallback all
+        # read one matrix
+        calls = []
+        im2col = ops._im2col
+
+        def counted(*args):
+            calls.append(args[1:])
+            return im2col(*args)
+        monkeypatch.setattr(ops, "_im2col", counted)
+        ops.conv_ln_gelu(Tensor(stem_inputs(kind, np.float32)),
+                         *stem_params(np.float32), stride=2, padding=1)
+        assert calls == [(3, 2, 1, 16, 16)]
 
     # every other stage runs dense: enc1 (32 -> 8 channels at stride 2, on
     # the stride phases) and a decoder stage (upsample), input gradient too
@@ -990,6 +1019,17 @@ class TestGradients:
             h = ops.sigmoid(ops.linear(Tensor(x, dtype=np.float64), w))
             return ops.weighted_sum(h, np.ones(h.shape))
         assert grad_check(fn, [w]) < 1e-7
+
+    def test_transposed_parameter(self):
+        # grad_check perturbs p.data itself: a reshape of a transposed
+        # array is a copy, which the forward never reads
+        rng = np.random.default_rng(1)
+        w = Parameter(rng.normal(size=(6, 3)).T, "w", dtype=np.float64)
+        assert not w.data.flags.c_contiguous
+        x = Tensor(rng.normal(size=(4, 6)), dtype=np.float64)
+        proj = rng.uniform(0.5, 1.5, size=(4, 3))
+        assert grad_check(
+            lambda: ops.weighted_sum(ops.linear(x, w), proj), [w]) < 1e-7
 
     @pytest.mark.parametrize("name", sorted(op_suite_cases().keys()))
     def test_op_suite_case(self, name):
