@@ -3,7 +3,8 @@
 Adam with bias correction, seeded shuffling and drop-path streams so a
 (seed, config, data) triple fixes the whole trajectory bit-exactly,
 checkpoint/resume through the weight format plus an optimizer sidecar,
-single-pass evaluation with a persistence baseline, and the synthetic
+single-pass evaluation with a persistence baseline (forecasts on this
+thread, scoring on one worker thread), and the synthetic
 moving-bar task used for desk-scale learning checks.
 """
 
@@ -14,6 +15,7 @@ import math
 import os
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +23,11 @@ import numpy as np
 from .events import (DEFAULT_BIN_US, OccurrenceTensor, bin_events,
                      random_bar_scene, read_ocm, synth_scene, write_ocm)
 from .losses import LossConfig, total_loss
-from .metrics import MetricAccumulator, binarize, format_record
+from .metrics import MetricAccumulator, format_record, score_sequence
 from .model import (ModelConfig, TideModel, count_params, init_params,
                     save_checkpoint)
 from .numerics import Tape, Tensor, ops
-from .util import atomic_write_bytes, is_binary
+from .util import atomic_write_bytes, is_binary, single_blas_thread
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -416,21 +418,46 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
     order as report["grid"], a list of (tau, scores) pairs. An empty
     dataset, or one whose windows or frames do not match the model's,
     raises ValueError.
+
+    A two-stage pipeline: this thread forecasts sequence i+1 while one
+    worker thread runs metrics.score_sequence on sequence i, and this
+    thread folds each sequence's Scores into the accumulators in index
+    order, so every float is summed as one serial loop would sum it. The
+    last sequence is scored here, as no forecast is left to overlap it, so
+    a one-sequence pass starts no thread and its scoring temporaries stay
+    in this thread's malloc arena. All ops and
+    tape work stays on this thread, and at most one forecast is in flight.
+    BLAS runs at one thread meanwhile (util.single_blas_thread), and gets
+    its count back on return or raise; the worker has ended by then, and
+    its errors raise here. train()'s validation takes this path.
     """
     _check_dataset(dataset, model.config)
     if indices is None:
         indices = range(len(dataset))
+    indices = list(indices)
     acc_model = MetricAccumulator()
     acc_pers = MetricAccumulator()
     acc_grid = [MetricAccumulator() for _ in taus]
-    for i in indices:
-        x, y = dataset[i]
-        probs = predict(model, x[None])[0]
-        acc_model.update(binarize(probs), y, probs)
-        for tau, acc in zip(taus, acc_grid):
-            acc.update((probs >= tau).astype(np.uint8), y)
-        pers = persistence_forecast(x, dataset.t_out)
-        acc_pers.update(pers, y, pers.astype(np.float64))
+
+    def fold(scores):
+        model_score, pers_score, grid_scores = scores
+        acc_model.fold(model_score)
+        acc_pers.fold(pers_score)
+        for acc, score in zip(acc_grid, grid_scores):
+            acc.fold(score)
+
+    with single_blas_thread(), ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for k, i in enumerate(indices):
+            x, y = dataset[i]
+            probs = predict(model, x[None])[0]
+            if pending is not None:
+                fold(pending.result())
+            args = (probs, y, persistence_forecast(x, dataset.t_out), taus)
+            if k + 1 < len(indices):
+                pending = worker.submit(score_sequence, *args)
+            else:
+                fold(score_sequence(*args))
     return {"model": acc_model.finalize(), "persistence": acc_pers.finalize(),
             "grid": [(tau, acc.finalize()) for tau, acc in zip(taus, acc_grid)]}
 

@@ -1,5 +1,5 @@
-"""Small shared helpers: atomic file writes, the binary-array check and the
-key=value config codec.
+"""Small shared helpers: atomic file writes, the binary-array check, a
+one-thread BLAS scope and the key=value config codec.
 
 Config text is one `key=value` per line in dataclass field order. Blank
 lines and lines starting with `#` are skipped. A nested dataclass field
@@ -11,6 +11,8 @@ case. A key given twice is rejected.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
 import tempfile
 from dataclasses import fields, is_dataclass
@@ -47,6 +49,61 @@ def is_binary(arr: np.ndarray) -> bool:
     if arr.dtype.kind in "ub":
         return arr.size == 0 or bool(arr.max() <= 1)
     return bool(np.all((arr == 0) | (arr == 1)))
+
+
+# Thread-count entry points of OpenBLAS builds: SciPy's wheels rename them
+# with a prefix, and 64-bit-integer builds append a suffix.
+_OPENBLAS_PREFIXES = ("scipy_openblas_", "openblas_")
+_OPENBLAS_SUFFIXES = ("64_", "")
+
+
+def _openblas_libraries() -> list:
+    """Every OpenBLAS library mapped into this process, opened with ctypes
+    (empty where /proc/self/maps cannot be read)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return []
+    return [ctypes.CDLL(path) for path in sorted(paths)]
+
+
+def _thread_count_functions(lib):
+    """(get, set) of lib's OpenBLAS thread count, or None if lib exports
+    no such pair under a known name."""
+    for prefix in _OPENBLAS_PREFIXES:
+        for suffix in _OPENBLAS_SUFFIXES:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with every loaded OpenBLAS (NumPy's among them) at one
+    thread, and restore each one's thread count after it, also when the
+    body raises. Where no OpenBLAS is found this does nothing.
+
+    For callers that run their own threads: at one thread per call, two
+    threads' BLAS calls run side by side instead of queueing for one pool.
+    etide's forecasts and scores hold their bits at one and at two BLAS
+    threads (the CLI tests compare both). The count is process-wide, so
+    scopes open on two threads at once would restore each other's."""
+    controls = [f for f in map(_thread_count_functions, _openblas_libraries())
+                if f is not None]
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
 
 
 def config_to_text(cfg) -> str:

@@ -230,9 +230,10 @@ class TestTrain:
 
     def test_eval_independent_of_blas_threads(self, tmp_path):
         # the forward's GEMMs split at two threads, and both SSIM passes
-        # are BLAS gemv calls, so every printed score must hold its bits
+        # are BLAS gemv calls, so every printed score must hold its bits;
+        # four sequences, so that eval's pipeline overlaps and folds
         data = tmp_path / "data"
-        assert main(synth_args(data, 2, size="64x64")) == 0
+        assert main(synth_args(data, 4, size="64x64")) == 0
         ckpt = tmp_path / "model.etw"
         save_checkpoint(ckpt, init_params(model_cfg(**THREADED_MODEL),
                                           seed=0))

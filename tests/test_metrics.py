@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from etide import metrics
 from etide.metrics import (MetricAccumulator, binarize, format_record,
-                           format_table, mse, otsu_threshold, ssim)
+                           format_table, mse, otsu_threshold, score_sequence,
+                           ssim)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +400,84 @@ class TestFidelity:
                 for t in range(3)
             ]
             assert out["ssim"] == pytest.approx(float(np.mean(per_frame)))
+
+    def test_ssim_reads_given_means_without_writing_them(self):
+        # binary images alias their mean as the mean of their square, the
+        # case where an in-place formula would write the caller's mean
+        rng = np.random.default_rng(47)
+        binary = (rng.random((14, 16)) < 0.3).astype(np.uint8)
+        probs = rng.random((14, 16))
+        for x, y in ((binary, binary[::-1].copy()), (probs, binary),
+                     (binary, probs)):
+            mu_x = metrics._gaussian_mean(x.astype(np.float64))
+            mu_y = metrics._gaussian_mean(y.astype(np.float64))
+            kept = mu_x.copy(), mu_y.copy()
+            assert ssim(x, y, mu_x, mu_y) == ssim(x, y)
+            assert np.array_equal(mu_x, kept[0])
+            assert np.array_equal(mu_y, kept[1])
+
+
+# ---------------------------------------------------------------------------
+# per-sequence scorer
+# ---------------------------------------------------------------------------
+
+def scored_sequence(rng, t=4):
+    gt = (rng.random((t, 2, 14, 16)) < 0.3).astype(np.uint8)
+    probs = np.clip(gt + rng.normal(0, 0.3, size=gt.shape), 0, 1)
+    persistence = np.repeat(gt[:1], t, axis=0)
+    persistence[2:, 1] = gt[-1, 1]  # one plane changes mid-sequence
+    return probs.astype(np.float32), gt, persistence
+
+
+class TestScoreSequence:
+    def test_folds_as_update_would(self):
+        rng = np.random.default_rng(53)
+        taus = (0.25, 0.5)
+        serial = [MetricAccumulator() for _ in range(2 + len(taus))]
+        folded = [MetricAccumulator() for _ in range(2 + len(taus))]
+        for _ in range(3):
+            probs, gt, persistence = scored_sequence(rng)
+            serial[0].update(binarize(probs), gt, probs)
+            serial[1].update(persistence, gt, persistence.astype(np.float64))
+            for tau, acc in zip(taus, serial[2:]):
+                acc.update((probs >= tau).astype(np.uint8), gt)
+            model, pers, grid = score_sequence(probs, gt, persistence, taus)
+            for acc, score in zip(folded, [model, pers, *grid]):
+                acc.fold(score)
+        for a, b in zip(serial, folded):
+            assert vars(a).keys() == vars(b).keys()
+            for key, value in vars(a).items():
+                assert np.array_equal(value, vars(b)[key]), key
+
+    def test_filters_each_plane_once(self, monkeypatch):
+        calls = []
+        mean = metrics._gaussian_mean
+
+        def counted(img):
+            calls.append(img)
+            return mean(img)
+        monkeypatch.setattr(metrics, "_gaussian_mean", counted)
+        probs, gt, persistence = scored_sequence(np.random.default_rng(59))
+        score_sequence(probs, gt, persistence)
+        # per plane: the target's mean, the model's mean, square and
+        # product, persistence's product; persistence's mean at step 0 for
+        # both channels and again where channel 1 changes
+        assert len(calls) == 5 * 4 * 2 + 2 + 1
+
+    def test_checks_target_and_persistence(self):
+        probs, gt, persistence = scored_sequence(np.random.default_rng(61))
+        bad = gt.copy()
+        bad[1, 0, 2, 3] = 2
+        with pytest.raises(ValueError, match="^target mask must be binary$"):
+            score_sequence(probs, bad, persistence)
+        with pytest.raises(ValueError,
+                           match="^prediction mask must be binary$"):
+            score_sequence(probs, gt, bad)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            score_sequence(probs[:, :, :, :15], gt, persistence)
+        with pytest.raises(ValueError, match="smaller than the 11x11"):
+            score_sequence(probs[..., :10], gt[..., :10],
+                           persistence[..., :10])
 
 
 # ---------------------------------------------------------------------------

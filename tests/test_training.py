@@ -6,13 +6,15 @@ overfit-smoke, and resume-equivalence contracts.
 """
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from etide import training
+from etide import training, util
 from etide.losses import LossConfig
+from etide.metrics import MetricAccumulator, binarize, score_sequence
 from etide.model import ModelConfig, init_params, load_checkpoint
 from etide.numerics import Tape, Tensor
 from etide.numerics.tensor import Parameter
@@ -38,6 +40,11 @@ def adam_oracle(x0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
         vh = v / (1 - b2 ** t)
         x -= lr * mh / (vh ** 0.5 + eps)
     return x
+
+
+def blas_thread_counts():
+    return [get() for get, _ in filter(None, map(
+        util._thread_count_functions, util._openblas_libraries()))]
 
 
 def tiny_model_cfg(**overrides):
@@ -425,6 +432,53 @@ class TestEval:
         a = rollout_eval(model, ds)
         b = rollout_eval(model, ds)
         assert a == b
+
+    def test_pipeline_matches_serial_reference(self):
+        ds = make_moving_bar_dataset(5, height=16, width=16, t_in=3,
+                                     t_out=3, seed=4)
+        model = init_params(tiny_model_cfg(), seed=2)
+        taus = (0.3, 0.5, 0.7)
+        indices = [4, 0, 2, 3]
+        accs = [MetricAccumulator() for _ in range(2 + len(taus))]
+        for i in indices:
+            x, y = ds[i]
+            probs = predict(model, x[None])[0]
+            accs[0].update(binarize(probs), y, probs)
+            pers = persistence_forecast(x, ds.t_out)
+            accs[1].update(pers, y, pers.astype(np.float64))
+            for tau, acc in zip(taus, accs[2:]):
+                acc.update((probs >= tau).astype(np.uint8), y)
+        want = {"model": accs[0].finalize(),
+                "persistence": accs[1].finalize(),
+                "grid": [(tau, acc.finalize())
+                         for tau, acc in zip(taus, accs[2:])]}
+        assert rollout_eval(model, ds, indices=indices, taus=taus) == want
+
+    def test_scores_all_but_the_last_sequence_on_a_worker(self,
+                                                          monkeypatch):
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return score_sequence(*args)
+        monkeypatch.setattr(training, "score_sequence", recording)
+        model = init_params(tiny_model_cfg(), seed=0)
+        for n in (3, 1):
+            threads.clear()
+            rollout_eval(model, tiny_dataset(n))
+            main = threading.main_thread()
+            assert [t is main for t in threads] == [False] * (n - 1) + [True]
+
+    def test_worker_error_raises_here_and_leaves_no_thread(self):
+        ds = tiny_dataset(4)
+        ds.targets[2, 1, 0, 3, 3] = 2  # scored on the worker
+        model = init_params(tiny_model_cfg(), seed=0)
+        counts = blas_thread_counts()
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="target mask must be binary"):
+            rollout_eval(model, ds)
+        assert threading.active_count() == threads
+        assert blas_thread_counts() == counts
 
 
 class TestBenchmark:

@@ -1,11 +1,15 @@
-"""Config codec tests: pinned bytes, round-trips, and rejected input."""
+"""Config codec tests: pinned bytes, round-trips, and rejected input;
+and the one-thread BLAS scope."""
+
+import types
 
 import pytest
 
+from etide import util
 from etide.losses import LossConfig
 from etide.model import ModelConfig
 from etide.training import TrainConfig
-from etide.util import config_from_text, config_to_text
+from etide.util import config_from_text, config_to_text, single_blas_thread
 
 # The ETW1 checkpoint config block of the default model. Checkpoints written
 # by earlier versions carry these bytes, and checkpoint hashes depend on them.
@@ -104,3 +108,49 @@ class TestConfigCodec:
     def test_rejected_lines(self, text, match):
         with pytest.raises(ValueError, match=match):
             config_from_text(TrainConfig, text)
+
+
+def blas_thread_counts():
+    return [get() for get, _ in filter(None, map(
+        util._thread_count_functions, util._openblas_libraries()))]
+
+
+class TestSingleBlasThread:
+    def fake_library(self, count):
+        """A library exporting OpenBLAS's thread-count pair over a list."""
+        def get():
+            return count[0]
+
+        def set_(n):
+            count[0] = n
+        return types.SimpleNamespace(openblas_get_num_threads64_=get,
+                                     openblas_set_num_threads64_=set_)
+
+    def test_pins_one_thread_and_restores_after_an_error(self, monkeypatch):
+        count = [4]
+        monkeypatch.setattr(util, "_openblas_libraries",
+                            lambda: [self.fake_library(count)])
+        with pytest.raises(RuntimeError, match="inside"):
+            with single_blas_thread():
+                assert count == [1]
+                raise RuntimeError("inside")
+        assert count == [4]
+
+    def test_no_op_without_an_openblas_symbol(self, monkeypatch):
+        # a library that exports neither entry point under any known name
+        monkeypatch.setattr(util, "_openblas_libraries",
+                            lambda: [types.SimpleNamespace()])
+        ran = []
+        with single_blas_thread():
+            ran.append(True)
+        assert ran == [True]
+
+    def test_loaded_openblas_restored(self):
+        before = blas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS with a thread-count entry point loaded")
+        with pytest.raises(RuntimeError):
+            with single_blas_thread():
+                assert blas_thread_counts() == [1] * len(before)
+                raise RuntimeError
+        assert blas_thread_counts() == before
