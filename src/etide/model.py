@@ -15,6 +15,14 @@ residual:
 
 where core = channel_gate(U_n) * pointwise(dw_dilated(dw(U_n))) * (1 + U_n),
 the gate being a squeeze MLP fed by an activity-masked spatial mean.
+
+The forward has split points (numerics.parallel.split): the encoder's
+frames, each block's per-location tail LN -> ffn -> residual, and the head.
+Inside parallel.two_cores() (training.predict at batch 1) a helper thread
+computes one half; everywhere else each is one inline call. The halves
+keep the bits: frames are rows of the batched matmuls, and the tail and
+head split rows only where each part holds whole GEMM column groups
+(parallel.group_rows), not by halo rows.
 """
 
 from __future__ import annotations
@@ -22,11 +30,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .numerics import Parameter, Tensor, as_tensor, ops
+from .numerics import Parameter, Tensor, as_tensor, ops, parallel
 from .util import atomic_write_bytes, config_from_text, config_to_text
 
 ETW_MAGIC = b"ETW1"
@@ -171,7 +180,12 @@ class TideModel:
         cfg = self.config
         b = x.shape[0]
         h = ops.reshape(x, (b * cfg.t_in, 2, cfg.height, cfg.width))
-        for i in range(cfg.stages):
+        # each frame is one row of every batched matmul: its halves split
+        return parallel.split(self._encode_frames, h, axis=0,
+                              at=h.shape[0] // 2)
+
+    def _encode_frames(self, h: Tensor) -> Tensor:
+        for i in range(self.config.stages):
             h = self._stage(h, f"enc{i}", stride=2)
         return h
 
@@ -225,12 +239,23 @@ class TideModel:
         un = ops.layer_norm_channels(u, self[f"{p}.ln1.g"], self[f"{p}.ln1.b"])
         branch = ops.drop_path(self.tide_core(un, block), rate, training, rng)
         u = ops.add(u, branch)
+        # the tail is per location: it splits by rows, on whole GEMM
+        # column groups of its 1x1 convs
+        tail = partial(self._ffn_tail, block=block, training=training,
+                       rng=rng)
+        return parallel.split(tail, u, axis=2,
+                              at=parallel.group_rows(*u.shape[2:]))
 
+    def _ffn_tail(self, u: Tensor, block: int, training: bool,
+                  rng: Optional[np.random.Generator]) -> Tensor:
+        """u + droppath(ffn(LN(u)))."""
+        p = f"blk{block}"
         un2 = ops.layer_norm_channels(u, self[f"{p}.ln2.g"], self[f"{p}.ln2.b"])
         f = ops.conv2d(un2, self[f"{p}.ffn1.w"], self[f"{p}.ffn1.b"])
         f = ops.gelu(f)
         f = ops.conv2d(f, self[f"{p}.ffn2.w"], self[f"{p}.ffn2.b"])
-        return ops.add(u, ops.drop_path(f, rate, training, rng))
+        return ops.add(u, ops.drop_path(f, self.config.droppath_rate,
+                                        training, rng))
 
     def decode(self, z: Tensor) -> Tensor:
         """Upsample back to full resolution and emit T_out*2 logit maps."""
@@ -238,9 +263,13 @@ class TideModel:
         h = z
         for j in range(cfg.stages):
             h = self._stage(h, f"dec{j}", upsample=True)
-        logits = ops.conv2d(h, self["head.w"], self["head.b"])
+        logits = parallel.split(self._head, h, axis=2,
+                                at=parallel.group_rows(*h.shape[2:]))
         b = z.shape[0]
         return ops.reshape(logits, (b, cfg.t_out, 2, cfg.height, cfg.width))
+
+    def _head(self, h: Tensor) -> Tensor:
+        return ops.conv2d(h, self["head.w"], self["head.b"])
 
 
 def _enc_channel_chain(cfg: ModelConfig) -> list[int]:

@@ -51,7 +51,14 @@ gelu(LN(bias)):
 
 Every other stage (enc1, and the decoder with upsample=True) runs conv2d's
 kernel densely. Every route then adds the bias into the conv buffer and
-centres it in place for LN, and the tape keeps no conv output.
+centres it in place for LN, and the tape keeps no conv output; with no tape
+recording, GELU's result lands in that buffer too.
+
+Inside parallel.two_cores() (predict at batch 1), the sub-pixel conv
+computes its parity rows a = 0 and a = 1 on two threads, each the same
+GEMM calls as the serial loop, and a stage's bias -> LN -> GELU runs by
+rows. The split rule (parallel's docstring): a GEMM splits only into calls
+the serial path makes, or on whole column groups; never by halo rows.
 
 Backward passes rebuild padded inputs and columns from the saved input
 instead of keeping them on the tape.
@@ -76,6 +83,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import erf
 
 from ..util import is_binary
+from . import parallel
 from .tensor import Tensor, active_tape, as_tensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -191,11 +199,12 @@ def gelu(x: Tensor) -> Tensor:
     return _track(data, (x,), lambda g: (_gelu_grad(g, x.data, cdf),))
 
 
-def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = (1 + erf(x / sqrt 2)) / 2 in a new array. _INV_SQRT2 is a
-    Python float, so float32 stays float32 (an np.float64 factor would
-    promote)."""
-    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+def _gelu_cdf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, in `out` or a new array.
+    _INV_SQRT2 is a Python float, so float32 stays float32 (an np.float64
+    factor would promote)."""
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x) if out is None
+                      else out)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -203,8 +212,16 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return g * (cdf + x * pdf)
+    """g * (cdf + x * pdf(x)) in one buffer, with the bits of that
+    expression: each step is the same product or sum, commuted."""
+    d = np.multiply(x, -0.5)
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI        # pdf
+    d *= x
+    d += cdf
+    d *= g
+    return d
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -554,11 +571,13 @@ def _upsample2_conv(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     # one heap hole that fits conv_ln_gelu's LN buffer (forecast RSS -1.2 MB)
     data = np.empty((b_, cout, h, 2, w, 2), dtype=xd.dtype)
     xf, wp = _flat_pad(xd, q, 2 * q)
-    for a in (0, 1):
+
+    def parity(a):  # output rows 2y + a; each GEMM result freed at once
         for c in (0, 1):
             taps = _conv_taps(w_eff[a, c], wp, first[a], first[c])
-            acc = _flat_taps(xf, taps, h * wp)
-            data[:, :, :, a, :, c] = acc.reshape(b_, cout, h, wp)[..., :w]
+            data[:, :, :, a, :, c] = _flat_taps(xf, taps, h * wp).reshape(
+                b_, cout, h, wp)[..., :w]
+    parallel.both(parity, 0, 1)
     return data.reshape(b_, cout, 2 * h, 2 * w)
 
 
@@ -716,15 +735,32 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return data, xn, inv
 
 
+def _bias_ln_gelu(c: np.ndarray, bias: np.ndarray, gamma: np.ndarray,
+                  beta: np.ndarray, eps: float) -> None:
+    """c <- gelu(layer_norm(c + bias)) in place, with the bytes of the three
+    steps and one more buffer, the LN output; GELU's cdf takes LN's xn."""
+    c += bias[:, None, None]
+    y, xn, _ = _layer_norm(c, gamma, beta, eps, out=c)
+    cdf = _gelu_cdf(y, out=xn)
+    np.multiply(y, cdf, out=cdf)
+
+
 def _layer_norm_grads(g, xn, inv, gamma, need_dx: bool):
     """Yields the gradients of layer_norm_channels' x (None unless
     need_dx), gamma and beta."""
     if need_dx:
+        # inv * (gn - m1 - xn * m2) in two buffers, the bits of the
+        # expression form
         gn = g * gamma[None, :, None, None]
         m1 = gn.mean(axis=1, keepdims=True)
-        m2 = (gn * xn).mean(axis=1, keepdims=True)
+        t = np.multiply(gn, xn)
+        m2 = t.mean(axis=1, keepdims=True)
         gn -= m1
-        yield inv * (gn - xn * m2)
+        np.multiply(xn, m2, out=t)
+        gn -= t
+        del t
+        gn *= inv
+        yield gn
         del gn
     else:
         yield None
@@ -805,7 +841,9 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
     adds the bias to the conv's buffer, and LN centres it in place; that
     pays for holding x until the op returns. The tape keeps LN's xn and
     1/std, the LN output and GELU's cdf, dense in every case, and no conv
-    output; the backward is the three ops'.
+    output; the backward is the three ops'. With no tape recording,
+    _bias_ln_gelu runs in the conv's buffer instead, by rows on two cores
+    inside parallel.two_cores().
     """
     x, weight, conv, grads, (bias, gamma, beta) = _conv_route(
         "conv_ln_gelu", x, weight, stride, padding, 1, upsample, bias=bias,
@@ -827,12 +865,17 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
         c = c.reshape(shape) if where is None else c[None, :, :, None]
     else:
         c = np.ascontiguousarray(conv(x.data, weight.data))
-    c += bias.data[:, None, None]
-    y, xn, inv = _layer_norm(c, gamma.data, beta.data, eps, out=c)
-    if not keep:
-        c = xn = inv = None  # free the conv buffer before GELU's
-    cdf = _gelu_cdf(y)
-    data = np.multiply(y, cdf, out=None if keep else cdf)
+    if keep:
+        c += bias.data[:, None, None]
+        y, xn, inv = _layer_norm(c, gamma.data, beta.data, eps, out=c)
+        cdf = _gelu_cdf(y)
+        data = np.multiply(y, cdf)
+    else:
+        # per location, so by rows on two cores inside parallel.two_cores()
+        parallel.split(partial(_bias_ln_gelu, bias=bias.data,
+                               gamma=gamma.data, beta=beta.data, eps=eps),
+                       c, axis=2, at=c.shape[2] // 2)
+        data = c
     if where is not None:
         data = _stem_scatter(data, where, shape)
         if keep:

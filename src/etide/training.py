@@ -6,10 +6,18 @@ checkpoint/resume through the weight format plus an optimizer sidecar,
 single-pass evaluation with a persistence baseline (forecasts on this
 thread, scoring on one worker thread), and the synthetic
 moving-bar task used for desk-scale learning checks.
+
+predict() at batch 1 is the deployed forecast and runs on two cores
+(numerics.parallel): half of each split point on one helper thread. A
+split keeps the serial forward's bits because each GEMM splits only into
+calls the serial path makes (frames, sub-pixel parities) or on whole
+column groups, never by halo rows. Training, tapes, batches above 1 and
+rollout_eval (whose scoring worker holds the second core) stay serial.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -26,7 +34,7 @@ from .losses import LossConfig, total_loss
 from .metrics import MetricAccumulator, format_record, score_sequence
 from .model import (ModelConfig, TideModel, count_params, init_params,
                     save_checkpoint)
-from .numerics import Tape, Tensor, ops
+from .numerics import Tape, Tensor, active_tape, ops, parallel
 from .util import atomic_write_bytes, is_binary, single_blas_thread
 
 MANIFEST_NAME = "manifest.txt"
@@ -395,12 +403,24 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 def predict(model: TideModel, x: np.ndarray) -> np.ndarray:
-    """Probabilities [B,T_out,2,H,W] from binary inputs, one forward pass."""
+    """Probabilities [B,T_out,2,H,W] from binary inputs, one forward pass.
+
+    At batch 1 and outside a tape the forward runs on two cores
+    (parallel.two_cores): BLAS at one thread, and one helper thread takes
+    half of each split point (the encoder's frames, each block's tail, the
+    decoder's parity rows and its bias -> LN -> GELU rows, the head and
+    the sigmoid, by rows). The bits are those of the serial forward.
+    Inside another caller's single_blas_thread scope, as in rollout_eval,
+    whose scoring worker holds the second core, it runs serially.
+    """
     x = np.asarray(x)
     if x.ndim == 4:
         x = x[None]
-    logits = model.forward(Tensor(x.astype(model.dtype)), training=False)
-    return ops.sigmoid(logits).data
+    serial = x.shape[0] > 1 or active_tape() is not None
+    with contextlib.nullcontext() if serial else parallel.two_cores():
+        logits = model.forward(Tensor(x.astype(model.dtype)), training=False)
+        return parallel.split(ops.sigmoid, logits, axis=3,
+                              at=logits.shape[3] // 2).data
 
 
 def persistence_forecast(x: np.ndarray, t_out: int) -> np.ndarray:
@@ -508,26 +528,26 @@ def estimate_activation_bytes(cfg: ModelConfig, batch: int = 1) -> int:
 
 def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
               seed: int = 0) -> dict:
-    """Median/p95 latency of an eval-mode forward at batch 1, and the
-    tracemalloc peak of one more such forward above the bytes held before
-    it (traced_peak_bytes; run after the timed calls, which it would slow).
-    A caller's running trace is left running, with its peak reset.
+    """Median/p95 latency of predict() at batch 1, the deployed forecast
+    (two cores, with the sigmoid), and the tracemalloc peak of one more
+    such call above the bytes held before it (traced_peak_bytes; run after
+    the timed calls, which it would slow). The peak counts both threads'
+    allocations, so it moves a little with how they overlap in time. A
+    caller's running trace is left running, with its peak reset.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     cfg = model.config
     rng = np.random.default_rng(seed)
     x = (rng.random((1, cfg.t_in, 2, cfg.height, cfg.width)) < 0.25)
-    x = Tensor(x.astype(model.dtype))
     for _ in range(warmup):
-        model.forward(x, training=False)
+        predict(model, x)
     times = np.zeros(iters)
     for i in range(iters):
         t0 = time.perf_counter()
-        model.forward(x, training=False)
+        predict(model, x)
         times[i] = (time.perf_counter() - t0) * 1e3
-    traced_peak = _traced_bytes(
-        lambda: model.forward(x, training=False))[1]
+    traced_peak = _traced_bytes(lambda: predict(model, x))[1]
     return {
         "median_ms": float(np.median(times)),
         "p95_ms": float(np.percentile(times, 95)),

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import tempfile
+import threading
 from dataclasses import fields, is_dataclass
 from typing import get_type_hints
 
@@ -83,27 +85,51 @@ def _thread_count_functions(lib):
     return None
 
 
+@functools.cache
+def _blas_controls() -> list:
+    """(get, set) of every OpenBLAS loaded when first asked, looked up once
+    per process: reading /proc/self/maps costs about 0.6 ms."""
+    return [f for f in map(_thread_count_functions, _openblas_libraries())
+            if f is not None]
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0          # single_blas_thread scopes open, on any thread
+_blas_before: list = []  # (set, count) to restore when the last one exits
+
+
 @contextlib.contextmanager
 def single_blas_thread():
     """Run the body with every loaded OpenBLAS (NumPy's among them) at one
-    thread, and restore each one's thread count after it, also when the
-    body raises. Where no OpenBLAS is found this does nothing.
+    thread; yields True for the scope that pinned it. Where no OpenBLAS
+    is found this does nothing.
 
     For callers that run their own threads: at one thread per call, two
     threads' BLAS calls run side by side instead of queueing for one pool.
     etide's forecasts and scores hold their bits at one and at two BLAS
-    threads (the CLI tests compare both). The count is process-wide, so
-    scopes open on two threads at once would restore each other's."""
-    controls = [f for f in map(_thread_count_functions, _openblas_libraries())
-                if f is not None]
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    threads (the CLI tests compare both). Scopes nest and may overlap on
+    several threads: a process-wide count, under a lock, lets the first
+    scope to enter pin the count and the last to exit restore it, also
+    when its body raises. Only the first yields True, so a scope opened
+    inside another caller's (rollout_eval's, whose worker holds the second
+    core) can tell that the cores are taken."""
+    global _blas_depth, _blas_before
+    with _blas_lock:
+        first = _blas_depth == 0
+        if first:
+            controls = _blas_controls()
+            _blas_before = [(set_, get()) for get, set_ in controls]
+            for set_, _ in _blas_before:
+                set_(1)
+        _blas_depth += 1
     try:
-        yield
+        yield first
     finally:
-        for (_, set_), count in zip(controls, before):
-            set_(count)
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_, count in _blas_before:
+                    set_(count)
 
 
 def config_to_text(cfg) -> str:

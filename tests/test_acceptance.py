@@ -306,7 +306,8 @@ def test_7_single_pass_latency():
     model = init_params(_full_config(), seed=0)
     record = benchmark(model, iters=15, warmup=3, seed=0)
     # all T_out frames come from one forward call: benchmark() times exactly
-    # model.forward once per iteration and the output carries every frame
+    # one predict() (one model.forward) per iteration and the output
+    # carries every frame
     x = (np.random.default_rng(0).random((1, 10, 2, 128, 128)) < 0.02)
     y = model.forward(Tensor(x.astype(np.float32)))
     single_pass = y.shape == (1, 10, 2, 128, 128)

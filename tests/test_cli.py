@@ -58,13 +58,15 @@ def run_etide(args, blas_threads, python_args=("-m", "etide")):
 
 
 # SHA-256 of training.predict on one moving-bar window at the default
-# config, and the column counts of the sparse stem's GEMMs: the column axis
-# of each [K, Mt] block that _stem_columns selects
+# config; the column counts of the sparse stem's GEMMs, the column axis of
+# each [K, Mt] block that _stem_columns selects (one per frame half, on two
+# threads, so sorted); and the SHA-256 of the serial forward at the BLAS
+# count the process runs at (predict pins one thread)
 PREDICT_HASH = """
 import hashlib, json
 from etide import training
 from etide.model import ModelConfig, init_params
-from etide.numerics import ops
+from etide.numerics import Tensor, ops
 columns = ops._stem_columns
 counts = []
 
@@ -74,9 +76,12 @@ def counted(cols, where):
     return block
 ops._stem_columns = counted
 x, _ = training.make_moving_bar_dataset(1, seed=3)[0]
-probs = training.predict(init_params(ModelConfig(), seed=3), x)
+model = init_params(ModelConfig(), seed=3)
+probs = training.predict(model, x)
 print(hashlib.sha256(probs.tobytes()).hexdigest())
-print(json.dumps(counts))
+print(json.dumps(sorted(counts)))
+logits = model.forward(Tensor(x[None].astype(model.dtype)))
+print(hashlib.sha256(ops.sigmoid(logits).data.tobytes()).hexdigest())
 """
 
 
@@ -246,15 +251,20 @@ class TestTrain:
         assert "ssim=" in printed[0] and printed[0] == printed[1]
 
     def test_sparse_stem_forecast_independent_of_blas_threads(self):
-        # the stem's GEMM has as many columns as the window has active
-        # locations, thousands here, enough for OpenBLAS to split them
+        # the stem's GEMMs have as many columns as their five frames have
+        # active locations, hundreds each here. predict pins one BLAS
+        # thread, so the serial forward (the last line) is what runs at
+        # two, with one stem GEMM of thousands of columns, enough for
+        # OpenBLAS to split them
         printed = []
         for threads in ("1", "2"):
             proc = run_etide([PREDICT_HASH], threads, python_args=("-c",))
             assert proc.returncode == 0, proc.stderr
             printed.append(proc.stdout)
-        columns = json.loads(printed[0].splitlines()[1])
-        assert len(columns) == 1 and 1000 < columns[0] < 0.5 * 10 * 64 * 64
+        lines = printed[0].splitlines()
+        columns = json.loads(lines[1])
+        assert len(columns) == 2 and 1000 < sum(columns) < 0.5 * 10 * 64 * 64
+        assert lines[2] == lines[0]
         assert printed[0] == printed[1]
 
     @pytest.mark.parametrize("key,value", [

@@ -1,0 +1,176 @@
+"""The two-core forecast: predict's split points against the serial forward.
+
+predict() at batch 1 hands half of each split point to one helper thread.
+Its output must be byte-identical to model.forward + ops.sigmoid at one and
+at two OpenBLAS threads; every other caller must stay serial.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from etide import training, util
+from etide.model import ModelConfig, init_params
+from etide.numerics import Tape, Tensor, ops, parallel
+from etide.training import make_moving_bar_dataset, predict, rollout_eval
+
+from conftest import blas_thread_counts
+
+CONFIGS = {
+    "full": dict(),
+    "learning-check": dict(c_step=4, n_blocks=2, enc_widths=(16,),
+                           dec_widths=(48, 24), droppath_rate=0.0),
+    # the CLI tests' THREADED_MODEL
+    "64x64": dict(height=64, width=64, c_step=4, enc_widths=(16,),
+                  dec_widths=(32, 16)),
+    # 5x5 blocks: no row split whole in GEMM column groups, so they run
+    # inline; one frame against two in the encoder
+    "odd": dict(t_in=3, t_out=3, height=20, width=20, c_step=2, n_blocks=1,
+                enc_widths=(4,), dec_widths=(8, 4)),
+}
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The functions handed to the helper thread, in order."""
+    calls = []
+    executor = parallel._executor()
+
+    class Recording:
+        def submit(self, fn, *args):
+            calls.append(getattr(fn, "__name__", None)
+                         or fn.func.__name__)
+            return executor.submit(fn, *args)
+    monkeypatch.setattr(parallel, "_executor", Recording)
+    return calls
+
+
+def inputs(cfg, seed=3):
+    x, _ = make_moving_bar_dataset(1, height=cfg.height, width=cfg.width,
+                                   t_in=cfg.t_in, t_out=cfg.t_out,
+                                   seed=seed)[0]
+    noise = np.random.default_rng(seed).random(x.shape) < 0.25
+    return {"moving-bar": x, "random": noise.astype(np.uint8)}
+
+
+def serial(model, x):
+    logits = model.forward(Tensor(x[None].astype(model.dtype)))
+    return ops.sigmoid(logits).data
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_predict_bytes_match_the_serial_forward(name, submitted):
+    cfg = ModelConfig(**CONFIGS[name])
+    model = init_params(cfg, seed=3)
+    for kind, x in inputs(cfg).items():
+        got = predict(model, x)
+        assert submitted, "predict split nothing"
+        submitted.clear()
+        want_blas = serial(model, x)  # OpenBLAS at its own count
+        with util.single_blas_thread():
+            want_one = serial(model, x)
+        assert not submitted
+        assert got.tobytes() == want_blas.tobytes(), (name, kind)
+        assert got.tobytes() == want_one.tobytes(), (name, kind)
+
+
+def test_every_split_point_of_the_full_forecast(submitted):
+    # nested split points (the encoder's stages inside a frame half) run
+    # inline, so each section hands one half to the helper
+    cfg = ModelConfig()
+    predict(init_params(cfg, seed=0), inputs(cfg)["moving-bar"])
+    assert submitted == (["_encode_frames"] + ["_ffn_tail"] * cfg.n_blocks
+                         + ["parity", "_bias_ln_gelu"] * cfg.stages
+                         + ["_head", "sigmoid"])
+
+
+def test_helper_error_raises_here(monkeypatch):
+    cfg = ModelConfig(**CONFIGS["64x64"])
+    model = init_params(cfg, seed=0)
+    x = inputs(cfg)["moving-bar"]
+    want = predict(model, x)  # the helper exists from here on
+    counts, threads = blas_thread_counts(), threading.active_count()
+    cdf = ops._gelu_cdf
+
+    def failing(*args, **kwargs):
+        if threading.current_thread().name.startswith(parallel.HELPER_NAME):
+            raise RuntimeError("helper failed")
+        return cdf(*args, **kwargs)
+    monkeypatch.setattr(ops, "_gelu_cdf", failing)
+    with pytest.raises(RuntimeError, match="helper failed"):
+        predict(model, x)
+    assert blas_thread_counts() == counts
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    assert predict(model, x).tobytes() == want.tobytes()
+
+
+def test_predicts_on_many_threads():
+    # more callers than cores, switching often: one splits at a time, the
+    # others run inline, and every forecast keeps its bytes
+    cfg = ModelConfig(**CONFIGS["odd"])
+    model = init_params(cfg, seed=0)
+    x = inputs(cfg)["moving-bar"]
+    want = serial(model, x).tobytes()
+    got = []
+
+    def work():
+        for _ in range(5):
+            got.append(predict(model, x).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 20
+    assert parallel._owner is None
+
+
+def test_rollout_eval_stays_serial(submitted):
+    # its scoring worker holds the second core
+    cfg = ModelConfig(**CONFIGS["64x64"])
+    dataset = make_moving_bar_dataset(3, height=64, width=64, seed=0)
+    rollout_eval(init_params(cfg, seed=0), dataset, taus=(0.5,))
+    assert submitted == []
+
+
+def test_batches_and_tapes_stay_serial(submitted):
+    cfg = ModelConfig(**CONFIGS["64x64"])
+    model = init_params(cfg, seed=0)
+    x = inputs(cfg)["moving-bar"]
+    pair = np.stack([x, 1 - x])
+    got = predict(model, pair)
+    with Tape():
+        taped = predict(model, x)
+    assert submitted == []
+    want = ops.sigmoid(model.forward(Tensor(pair.astype(np.float32)))).data
+    assert got.tobytes() == want.tobytes()
+    assert taped.tobytes() == serial(model, x).tobytes()
+
+
+def test_split_points_inline_outside_predict(submitted):
+    cfg = ModelConfig(**CONFIGS["64x64"])
+    model = init_params(cfg, seed=0)
+    x = inputs(cfg)["moving-bar"]
+    training.benchmark(model, iters=1, warmup=0)
+    assert submitted  # benchmark() times predict
+    submitted.clear()
+    model.forward(Tensor(x[None].astype(np.float32)))
+    assert submitted == []
+
+
+@pytest.mark.parametrize("height,width,at", [
+    (32, 32, 16), (128, 128, 64), (16, 16, 8), (8, 8, 4), (4, 4, 0),
+    (5, 5, 0), (64, 2, 32), (6, 8, 2), (1, 64, 0)])
+def test_group_rows(height, width, at):
+    assert parallel.group_rows(height, width) == at
+    assert at * width % parallel.GEMM_COLUMN_GROUP == 0

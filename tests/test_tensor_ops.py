@@ -1156,3 +1156,59 @@ def test_model_composition_gradcheck():
     from etide.numerics import check_model_gradients
     err = check_model_gradients()
     assert err < 1e-5, f"composed model rel err {err}"
+
+
+class TestBackwardBuffers:
+    """The backward kernels that write into fewer buffers keep the bytes of
+    the expressions they replaced, written out here as references."""
+
+    @pytest.fixture(params=[np.float32, np.float64])
+    def arrays(self, request):
+        rng = np.random.default_rng(0)
+        shape = (2, 6, 5, 7)
+
+        def draw(scale=1.0):
+            return (rng.standard_normal(shape) * scale).astype(request.param)
+        return draw
+
+    def test_gelu_grad(self, arrays):
+        g, x = arrays(), arrays(3.0)
+        cdf = ops._gelu_cdf(x)
+        pdf = ops._INV_SQRT2PI * np.exp(-0.5 * x * x)
+        want = g * (cdf + x * pdf)
+        got = ops._gelu_grad(g, x, cdf)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_layer_norm_dx(self, arrays):
+        x, g, gamma = arrays(2.0), arrays(), arrays()[0, :, 0, 0]
+        _, xn, inv = ops._layer_norm(x, gamma, gamma, 1e-6)
+        gn = g * gamma[None, :, None, None]
+        m1 = gn.mean(axis=1, keepdims=True)
+        m2 = (gn * xn).mean(axis=1, keepdims=True)
+        gn -= m1
+        want = inv * (gn - xn * m2)
+        got = next(ops._layer_norm_grads(g, xn, inv, gamma, need_dx=True))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_first_gradient_is_zeros_plus_g(self, arrays):
+        g = arrays()
+        g[0, 0, 0, :2] = (-0.0, np.nan)
+        t = Tensor(np.ones_like(g))
+        t.accumulate_grad(g)
+        want = np.zeros_like(g)
+        want += g
+        assert t.grad.tobytes() == want.tobytes()
+        assert t.grad is not g and not np.signbit(t.grad[0, 0, 0, 0])
+        t.accumulate_grad(g)
+        want += g
+        assert t.grad.tobytes() == want.tobytes()
+
+    def test_first_gradient_broadcasts_and_casts(self):
+        # a gradient of another shape or dtype is added as += would
+        t = Tensor(np.ones((2, 3), dtype=np.float32))
+        g = np.array([0.1, -0.2, 0.3])
+        t.accumulate_grad(g)
+        want = np.zeros((2, 3), dtype=np.float32)
+        want += g
+        assert t.grad.dtype == np.float32
+        assert t.grad.tobytes() == want.tobytes()
