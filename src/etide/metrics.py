@@ -21,9 +21,9 @@ each target plane once for both forecasts. `MetricAccumulator.fold` then
 adds a Score to the counters; folding the sequences in order sums every
 float as `MetricAccumulator.update`, which is the two steps for one
 prediction, would. `training.rollout_eval` (behind `etide eval` and
-train()'s validation) scores every sequence but the last on one worker
-thread, with BLAS at one thread, while its main thread runs the next
-forecast.
+train()'s validation) scores every sequence but the last on the forecast
+helper thread, with BLAS at one thread, while its caller's thread runs
+the next forecast.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def score_sequence(probs: np.ndarray, gt: np.ndarray,
 
     The result is what MetricAccumulator.update would add for each of these
     rows. Its inputs are read, never written, and it uses NumPy alone, so
-    it may run on a worker thread. The target is checked once, and each of
+    it may run on another thread. The target is checked once, and each of
     its planes is filtered once for both SSIM rows; a persistence plane
     equal to the step before reuses that step's mean. A 10-step sequence
     filters 102 planes where update, row by row, filters 140.

@@ -4,8 +4,9 @@ Inside two_cores(), each split point of the forward hands one half of its
 work to the helper thread and computes the other half on the calling
 thread; BLAS runs at one thread per call meanwhile (util.single_blas_thread),
 so the second core does the helper's half instead of spinning between the
-GEMMs of one OpenBLAS pool. Outside that scope, and on the helper itself,
-each split point is one inline call on the whole input, so the forward has
+GEMMs of one OpenBLAS pool. Outside that scope, under a tape, and while
+the helper runs a both() job (training.rollout_eval scores on it), each
+split point is one inline call on the whole input, so the forward has
 one implementation and training, tapes and batches keep their bits.
 
 A split keeps the bits of the inline call only where every element is
@@ -31,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from ..util import single_blas_thread
-from .tensor import Tensor
+from .tensor import Tensor, active_tape
 
 HELPER_NAME = "etide-helper"
 # columns of a float32 GEMM kernel block: a row split of a 1x1 conv keeps
@@ -54,12 +55,14 @@ def _executor() -> ThreadPoolExecutor:
 
 @contextlib.contextmanager
 def two_cores():
-    """Split points on this thread use the helper inside the body, when
-    this scope pins BLAS to one thread. Nested inside another caller's
-    single_blas_thread scope (rollout_eval's, whose scoring worker holds
-    the second core), or while another thread splits, the body runs
-    inline."""
+    """BLAS at one thread for the body, unless a tape records (then the
+    body runs as it is). A split point uses the helper only when its
+    thread opened the scope that pinned BLAS and the helper is idle
+    (both() clears the owner while it runs); any other runs inline."""
     global _owner
+    if active_tape() is not None:
+        yield
+        return
     with single_blas_thread() as first:
         if not first:
             yield

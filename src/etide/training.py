@@ -4,15 +4,16 @@ Adam with bias correction, seeded shuffling and drop-path streams so a
 (seed, config, data) triple fixes the whole trajectory bit-exactly,
 checkpoint/resume through the weight format plus an optimizer sidecar,
 single-pass evaluation with a persistence baseline (forecasts on this
-thread, scoring on one worker thread), and the synthetic
+thread, scoring on the forecast helper thread), and the synthetic
 moving-bar task used for desk-scale learning checks.
 
 predict() at batch 1 is the deployed forecast and runs on two cores
 (numerics.parallel): half of each split point on one helper thread. A
 split keeps the serial forward's bits because each GEMM splits only into
 calls the serial path makes (frames, sub-pixel parities) or on whole
-column groups, never by halo rows. Training, tapes, batches above 1 and
-rollout_eval (whose scoring worker holds the second core) stay serial.
+column groups, never by halo rows. Training, tapes and batches above 1
+run serially, and a split point uses the helper only when its thread
+holds the two_cores() scope and the helper is idle.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 import os
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .losses import LossConfig, total_loss
 from .metrics import MetricAccumulator, format_record, score_sequence
 from .model import (ModelConfig, TideModel, count_params, init_params,
                     save_checkpoint)
-from .numerics import Tape, Tensor, active_tape, ops, parallel
-from .util import atomic_write_bytes, is_binary, single_blas_thread
+from .numerics import Tape, Tensor, ops, parallel
+from .util import atomic_write_bytes, is_binary
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -410,14 +411,18 @@ def predict(model: TideModel, x: np.ndarray) -> np.ndarray:
     half of each split point (the encoder's frames, each block's tail, the
     decoder's parity rows and its bias -> LN -> GELU rows, the head and
     the sigmoid, by rows). The bits are those of the serial forward.
-    Inside another caller's single_blas_thread scope, as in rollout_eval,
-    whose scoring worker holds the second core, it runs serially.
+    Its split points use the helper only when this thread holds the
+    two_cores() scope and the helper is idle (not while it scores).
+
+    The last bits depend on the batch: ops.linear runs gemv on one row
+    and gemm on several, so a window's forecast in a batch of two differs
+    from its batch-1 forecast by up to 4.2e-7 (seed 3, moving bars).
+    rollout_eval and `etide predict` forecast at batch 1.
     """
     x = np.asarray(x)
     if x.ndim == 4:
         x = x[None]
-    serial = x.shape[0] > 1 or active_tape() is not None
-    with contextlib.nullcontext() if serial else parallel.two_cores():
+    with contextlib.nullcontext() if x.shape[0] > 1 else parallel.two_cores():
         logits = model.forward(Tensor(x.astype(model.dtype)), training=False)
         return parallel.split(ops.sigmoid, logits, axis=3,
                               at=logits.shape[3] // 2).data
@@ -437,19 +442,17 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
     probs >= tau, from the same forecast; those rows are returned in
     order as report["grid"], a list of (tau, scores) pairs. An empty
     dataset, or one whose windows or frames do not match the model's,
-    raises ValueError.
+    raises ValueError; empty indices give the empty report (IoUs and
+    ssim 1, mse 0).
 
-    A two-stage pipeline: this thread forecasts sequence i+1 while one
-    worker thread runs metrics.score_sequence on sequence i, and this
-    thread folds each sequence's Scores into the accumulators in index
-    order, so every float is summed as one serial loop would sum it. The
-    last sequence is scored here, as no forecast is left to overlap it, so
-    a one-sequence pass starts no thread and its scoring temporaries stay
-    in this thread's malloc arena. All ops and
-    tape work stays on this thread, and at most one forecast is in flight.
-    BLAS runs at one thread meanwhile (util.single_blas_thread), and gets
-    its count back on return or raise; the worker has ended by then, and
-    its errors raise here. train()'s validation takes this path.
+    A two-stage pipeline inside parallel.two_cores(). The first forecast
+    is a plain predict, on both cores. Then parallel.both() scores
+    sequence i (metrics.score_sequence) on the helper while this thread
+    forecasts sequence i+1 inline. This thread scores the last sequence
+    and folds all Scores in index order, as a serial loop would sum them.
+    Outside a tape, BLAS runs at one thread and gets its count back on
+    return or raise; helper errors raise here once it has finished.
+    train()'s validation takes this path.
     """
     _check_dataset(dataset, model.config)
     if indices is None:
@@ -459,6 +462,11 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
     acc_pers = MetricAccumulator()
     acc_grid = [MetricAccumulator() for _ in taus]
 
+    def forecast(i):  # sequence i's forecast, as the job that scores it
+        x, y = dataset[i]
+        return partial(score_sequence, predict(model, x[None])[0], y,
+                       persistence_forecast(x, dataset.t_out), taus)
+
     def fold(scores):
         model_score, pers_score, grid_scores = scores
         acc_model.fold(model_score)
@@ -466,18 +474,16 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
         for acc, score in zip(acc_grid, grid_scores):
             acc.fold(score)
 
-    with single_blas_thread(), ThreadPoolExecutor(max_workers=1) as worker:
-        pending = None
-        for k, i in enumerate(indices):
-            x, y = dataset[i]
-            probs = predict(model, x[None])[0]
-            if pending is not None:
-                fold(pending.result())
-            args = (probs, y, persistence_forecast(x, dataset.t_out), taus)
-            if k + 1 < len(indices):
-                pending = worker.submit(score_sequence, *args)
-            else:
-                fold(score_sequence(*args))
+    def run(job):
+        return job()
+
+    with parallel.two_cores():
+        job = forecast(indices[0]) if indices else None
+        for i in indices[1:]:
+            scores, job = parallel.both(run, job, partial(forecast, i))
+            fold(scores)
+        if job is not None:
+            fold(job())
     return {"model": acc_model.finalize(), "persistence": acc_pers.finalize(),
             "grid": [(tau, acc.finalize()) for tau, acc in zip(taus, acc_grid)]}
 

@@ -110,9 +110,8 @@ def single_blas_thread():
     threads (the CLI tests compare both). Scopes nest and may overlap on
     several threads: a process-wide count, under a lock, lets the first
     scope to enter pin the count and the last to exit restore it, also
-    when its body raises. Only the first yields True, so a scope opened
-    inside another caller's (rollout_eval's, whose worker holds the second
-    core) can tell that the cores are taken."""
+    when its body raises. Only the first yields True: parallel.two_cores
+    lets split points use its helper only under that scope."""
     global _blas_depth, _blas_before
     with _blas_lock:
         first = _blas_depth == 0

@@ -14,11 +14,13 @@ def blas_thread_counts():
 
 @pytest.fixture(autouse=True)
 def process_state_restored():
-    """Fail a test that leaves an OpenBLAS thread count changed, or a live
-    thread other than the main thread and the forecast helper."""
+    """Fail a test that leaves an OpenBLAS thread count changed, a
+    two-core scope open, or a live thread other than the main thread and
+    the forecast helper."""
     counts = blas_thread_counts()
     yield
     assert blas_thread_counts() == counts, "OpenBLAS thread count changed"
+    assert parallel._owner is None, "a two-core scope is still open"
     stray = [t.name for t in threading.enumerate()
              if t is not threading.main_thread()
              and not t.name.startswith(parallel.HELPER_NAME)]

@@ -2,7 +2,7 @@
 
 predict() at batch 1 hands half of each split point to one helper thread.
 Its output must be byte-identical to model.forward + ops.sigmoid at one and
-at two OpenBLAS threads; every other caller must stay serial.
+at two OpenBLAS threads; every other forward must stay serial.
 """
 
 import sys
@@ -34,14 +34,17 @@ CONFIGS = {
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """The functions handed to the helper thread, in order."""
+    """The functions handed to the helper thread, in order (for the jobs
+    rollout_eval hands to its run(job), the job's)."""
     calls = []
     executor = parallel._executor()
 
+    def name(fn):
+        return getattr(fn, "__name__", None) or fn.func.__name__
+
     class Recording:
         def submit(self, fn, *args):
-            calls.append(getattr(fn, "__name__", None)
-                         or fn.func.__name__)
+            calls.append(name(args[0]) if name(fn) == "run" else name(fn))
             return executor.submit(fn, *args)
     monkeypatch.setattr(parallel, "_executor", Recording)
     return calls
@@ -132,15 +135,46 @@ def test_predicts_on_many_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * 20
-    assert parallel._owner is None
 
 
-def test_rollout_eval_stays_serial(submitted):
-    # its scoring worker holds the second core
+def test_rollout_eval_splits_its_first_forecast_then_scores(submitted):
+    # the helper takes the first forecast's split points, then scores
+    # each sequence but the last while the next forecast runs inline
     cfg = ModelConfig(**CONFIGS["64x64"])
+    model = init_params(cfg, seed=0)
     dataset = make_moving_bar_dataset(3, height=64, width=64, seed=0)
-    rollout_eval(init_params(cfg, seed=0), dataset, taus=(0.5,))
+    predict(model, dataset[0][0])
+    one_forecast = list(submitted)
+    assert one_forecast
+    submitted.clear()
+    rollout_eval(model, dataset, taus=(0.5,))
+    assert submitted == one_forecast + ["score_sequence"] * 2
+
+
+def test_rollout_eval_of_no_sequence(submitted):
+    cfg = ModelConfig(**CONFIGS["64x64"])
+    dataset = make_moving_bar_dataset(2, height=64, width=64, seed=0)
+    report = rollout_eval(init_params(cfg, seed=0), dataset, indices=[],
+                          taus=(0.5,))
+    empty = {"iou_on": 1.0, "iou_off": 1.0, "miou": 1.0, "aiou": 1.0,
+             "mse": 0.0, "ssim": 1.0}
+    assert report == {"model": empty, "persistence": empty,
+                      "grid": [(0.5, empty)]}
     assert submitted == []
+
+
+@pytest.mark.parametrize("name", ["64x64", "full"])
+def test_batch_changes_only_the_last_bits(name):
+    # ops.linear runs gemv on one row and gemm on several, which round
+    # differently: a window inside a batch is not its batch-1 forecast
+    cfg = ModelConfig(**CONFIGS[name])
+    model = init_params(cfg, seed=3)
+    pair = make_moving_bar_dataset(2, height=cfg.height, width=cfg.width,
+                                   t_in=cfg.t_in, t_out=cfg.t_out,
+                                   seed=3).inputs
+    alone = np.concatenate([predict(model, x) for x in pair])
+    np.testing.assert_allclose(predict(model, pair), alone, rtol=0,
+                               atol=1e-5)
 
 
 def test_batches_and_tapes_stay_serial(submitted):
@@ -151,6 +185,8 @@ def test_batches_and_tapes_stay_serial(submitted):
     got = predict(model, pair)
     with Tape():
         taped = predict(model, x)
+        rollout_eval(model, make_moving_bar_dataset(2, height=64, width=64,
+                                                    seed=0))
     assert submitted == []
     want = ops.sigmoid(model.forward(Tensor(pair.astype(np.float32)))).data
     assert got.tobytes() == want.tobytes()

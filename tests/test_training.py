@@ -16,7 +16,7 @@ from etide import training, util
 from etide.losses import LossConfig
 from etide.metrics import MetricAccumulator, binarize, score_sequence
 from etide.model import ModelConfig, init_params, load_checkpoint
-from etide.numerics import Tape, Tensor
+from etide.numerics import Tape, Tensor, parallel
 from etide.numerics.tensor import Parameter
 from etide.training import (AdamState, SequenceDataset, TrainConfig,
                             adam_step, benchmark, estimate_activation_bytes,
@@ -468,11 +468,14 @@ class TestEval:
             rollout_eval(model, tiny_dataset(n))
             main = threading.main_thread()
             assert [t is main for t in threads] == [False] * (n - 1) + [True]
+            assert all(t.name.startswith(parallel.HELPER_NAME)
+                       for t in threads[:-1])
 
     def test_worker_error_raises_here_and_leaves_no_thread(self):
         ds = tiny_dataset(4)
         ds.targets[2, 1, 0, 3, 3] = 2  # scored on the worker
         model = init_params(tiny_model_cfg(), seed=0)
+        rollout_eval(model, tiny_dataset(2))  # the helper exists from here on
         counts = blas_thread_counts()
         threads = threading.active_count()
         with pytest.raises(ValueError, match="target mask must be binary"):
