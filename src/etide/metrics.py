@@ -22,8 +22,8 @@ adds a Score to the counters; folding the sequences in order sums every
 float as `MetricAccumulator.update`, which is the two steps for one
 prediction, would. `training.rollout_eval` (behind `etide eval` and
 train()'s validation) scores every sequence but the last on the forecast
-helper thread, with BLAS at one thread, while its caller's thread runs
-the next forecast.
+helper thread (numerics.parallel states when it is used) while its
+caller's thread runs the next forecast.
 """
 
 from __future__ import annotations

@@ -18,11 +18,10 @@ the gate being a squeeze MLP fed by an activity-masked spatial mean.
 
 The forward has split points (numerics.parallel.split): the encoder's
 frames, each block's per-location tail LN -> ffn -> residual, and the head.
-Inside parallel.two_cores() (training.predict at batch 1) a helper thread
-computes one half; everywhere else each is one inline call. The halves
-keep the bits: frames are rows of the batched matmuls, and the tail and
-head split rows only where each part holds whole GEMM column groups
-(parallel.group_rows), not by halo rows.
+parallel's module docstring says when a helper thread computes one half
+(in training.predict) and why the halves keep the bits; the tail and head
+split rows where each part holds whole GEMM column groups
+(parallel.group_rows).
 """
 
 from __future__ import annotations
@@ -375,6 +374,13 @@ def load_checkpoint(path, dtype=np.float32) -> TideModel:
         pos += n
         return chunk
 
+    def text(n, what):
+        try:
+            return bytes(take(n, what)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{path}: {what} is not UTF-8 ({exc})") from exc
+
     magic, version, count = struct.unpack("<4sII", take(12, "header"))
     if magic != ETW_MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r}")
@@ -384,7 +390,7 @@ def load_checkpoint(path, dtype=np.float32) -> TideModel:
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = bytes(take(name_len, "name")).decode("utf-8")
+        name = text(name_len, "name")
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         n = int(np.prod(dims)) if rank else 1
@@ -392,7 +398,7 @@ def load_checkpoint(path, dtype=np.float32) -> TideModel:
                              dtype="<f4").reshape(dims)
         loaded[name] = data
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg_text = bytes(take(cfg_len, "config")).decode("utf-8")
+    cfg_text = text(cfg_len, "config")
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
 

@@ -10,26 +10,20 @@ Each op also has a _case row in gradcheck.op_suite_cases, which checks its
 vjp against central differences.
 
 One convolution op, conv2d, picks its kernel from the weight's shape and
-its upsample flag. Forward times are medians of 15 calls at the
-full-config forecast shapes on a 2-vCPU VM, against one tensordot per tap
-before:
+its upsample flag:
 
 * [Cout, Cin, k, k], 1x1 projections included: one GEMM per tap straight
-  on a window of the flattened padded input, no copy per tap (dec1's
-  conv, 160 -> 48 channels at 128^2: 89 -> 40 ms); a strided conv first
-  splits the input into its stride phases (enc1, 32 -> 8 channels at
-  stride 2: 12.3 -> 4.8 ms, and 38.5 -> 16.7 ms in backward);
+  on a window of the flattened padded input, no copy per tap; a strided
+  conv first splits the input into its stride phases;
 * [Cout, Cin, k, k] at stride > 1 with Cout > 4*Cin: im2col, one GEMM
-  with K = Cin*k^2 (enc0, 2 -> 32 channels: 19.5 -> 5 ms);
+  with K = Cin*k^2, where a GEMM per tap would have K = Cin, too thin;
 * [C, 1, k, k], depthwise at stride 1 and any dilation: one einsum over
-  a read-only strided view of every tap window, bit-identical to the tap
-  loop before (full-config k5: 2.2-3.0 -> 0.6-0.9 ms, dilated k7:
-  4.1-5.2 -> 1.5 ms); its backward is one more einsum for dw and the
-  same kernel on the gradient for dx;
+  a read-only strided view of every tap window, bit-identical to a tap
+  loop; its backward is one more einsum for dw and the same kernel on the
+  gradient for dx;
 * upsample=True, a nearest-2x upsample followed by a "same" conv: four
   sub-pixel stride-1 convs on the low-resolution input with summed taps,
-  2.25x fewer multiply-adds at k=3 (dec1 including its upsample:
-  108 -> 16 ms; dec0: 21 -> 9.5 ms).
+  2.25x fewer multiply-adds at k=3.
 
 conv_ln_gelu (conv -> layer norm -> GELU) is every encoder and decoder
 stage of the model, one tape node each, with the bytes of conv2d,
@@ -38,35 +32,27 @@ layer_norm_channels and gelu. Where conv2d takes im2col (the stem, enc0:
 holds an output location's input window, so the columns with a nonzero
 value are the active locations. The GEMM runs on those columns alone, then
 LN and GELU channel-major; every other location gets the background
-gelu(LN(bias)):
-
-* full-config forecast windows, 4-14% of locations active: 3.0-7.6 ms
-  against 24-28 ms for conv2d, layer_norm_channels and gelu; under a tape
-  at the learning-check config (batch 4, 5% active), forward 25 against
-  53 ms, with the same dense backward;
-* random events at the same shape: 60% active, 31.7 against 34.6 ms;
-  77%, 38.9 against 35.1 ms; 99% (etide bench's input), 55 against 41 ms.
-  Above 50% active, or when an output plane is not a whole number of
-  8-column GEMM groups, the GEMM runs on the whole matrix instead.
+gelu(LN(bias)). On a 2-vCPU VM this was 3-8x faster than the dense ops at
+the 4-14% active locations of full-config forecast windows, and break-even
+near 70% active. Above 50% active, or when an output plane is not a whole
+number of GEMM column groups, the GEMM runs on the whole matrix instead.
 
 Every other stage (enc1, and the decoder with upsample=True) runs conv2d's
 kernel densely. Every route then adds the bias into the conv buffer and
 centres it in place for LN, and the tape keeps no conv output; with no tape
 recording, GELU's result lands in that buffer too.
 
-Inside parallel.two_cores() (predict at batch 1), the sub-pixel conv
-computes its parity rows a = 0 and a = 1 on two threads, each the same
-GEMM calls as the serial loop, and a stage's bias -> LN -> GELU runs by
-rows. The split rule (parallel's docstring): a GEMM splits only into calls
-the serial path makes, or on whole column groups; never by halo rows.
+The sub-pixel conv computes its parity rows a = 0 and a = 1 through
+parallel.both, each the same GEMM calls as the serial loop, and a stage's
+bias -> LN -> GELU runs through parallel.split by rows. parallel's module
+docstring says when these use the helper thread and why they keep the
+bits.
 
 Backward passes rebuild padded inputs and columns from the saved input
 instead of keeping them on the tape.
 
 focal_loss_map computes one exp(-|s|) per logit on the true-class form,
-with no np.logaddexp (a scalar libm loop): on the 1.31M float32 logits of
-a learning-check train step (batch 4), forward 121 -> 22 ms, backward
-17 -> 8 ms, same 2-vCPU VM.
+with no np.logaddexp, a scalar libm loop that dominated the loss.
 
 Ops preserve the dtype of their inputs so the same code runs in float32
 for training and float64 for finite-difference checking.
@@ -577,7 +563,7 @@ def _upsample2_conv(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
             taps = _conv_taps(w_eff[a, c], wp, first[a], first[c])
             data[:, :, :, a, :, c] = _flat_taps(xf, taps, h * wp).reshape(
                 b_, cout, h, wp)[..., :w]
-    parallel.both(parity, 0, 1)
+    parallel.both(partial(parity, 0), partial(parity, 1))
     return data.reshape(b_, cout, 2 * h, 2 * w)
 
 
@@ -776,16 +762,14 @@ def _layer_norm_grads(g, xn, inv, gamma, need_dx: bool):
 # output = bias there, so gelu(layer_norm(bias)), the background, every
 # time. Such a window is an all-zero column of _im2col's matrix, so
 # conv_ln_gelu selects the other columns, pads them with zero windows to a
-# whole number of _GEMM_COLUMN_GROUP columns and runs one GEMM on that
-# block; the first padding column is the background.
-# The padding keeps the bits: OpenBLAS computes a GEMM column the same way
-# wherever it sits, except that a single column goes to gemv and dgemm
-# gives a trailing group of 1-4 columns another kernel. So the sparse route
-# also needs output planes of whole groups, where the dense GEMM has no
-# trailing group either. Past about 70% active locations the dense kernels
-# are faster; _STEM_MAX_ACTIVE leaves a margin.
+# whole number of parallel.GEMM_COLUMN_GROUP columns and runs one GEMM on
+# that block; the first padding column is the background.
+# The padding keeps the bits by parallel's column-group condition (its
+# module docstring). So the sparse route also needs output planes of whole
+# groups, where the dense GEMM has no trailing group either. Past about 70%
+# active locations the dense kernels are faster; _STEM_MAX_ACTIVE leaves a
+# margin.
 _STEM_MAX_ACTIVE = 0.5
-_GEMM_COLUMN_GROUP = 8
 
 
 def _stem_active(cols: np.ndarray) -> Optional[np.ndarray]:
@@ -793,7 +777,7 @@ def _stem_active(cols: np.ndarray) -> Optional[np.ndarray]:
     nonzero value: the output locations whose window does. None, for the
     dense route, when M is not a whole number of column groups or more than
     _STEM_MAX_ACTIVE of the columns are active."""
-    if cols.shape[2] % _GEMM_COLUMN_GROUP:
+    if cols.shape[2] % parallel.GEMM_COLUMN_GROUP:
         return None
     active = cols.any(axis=1)
     where = np.flatnonzero(active)
@@ -802,8 +786,9 @@ def _stem_active(cols: np.ndarray) -> Optional[np.ndarray]:
 
 def _stem_columns(cols: np.ndarray, where: np.ndarray) -> np.ndarray:
     """[K, Mt]: the flat columns `where` of cols[B, K, M], then zero windows
-    up to Mt, the next multiple of _GEMM_COLUMN_GROUP above len(where)."""
-    m, group = where.size, _GEMM_COLUMN_GROUP
+    up to Mt, the next multiple of parallel.GEMM_COLUMN_GROUP above
+    len(where)."""
+    m, group = where.size, parallel.GEMM_COLUMN_GROUP
     block = np.zeros((cols.shape[1], (m // group + 1) * group),
                      dtype=cols.dtype)
     b_idx, p_idx = np.divmod(where, cols.shape[2])
@@ -842,8 +827,8 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
     pays for holding x until the op returns. The tape keeps LN's xn and
     1/std, the LN output and GELU's cdf, dense in every case, and no conv
     output; the backward is the three ops'. With no tape recording,
-    _bias_ln_gelu runs in the conv's buffer instead, by rows on two cores
-    inside parallel.two_cores().
+    _bias_ln_gelu runs in the conv's buffer instead, as a parallel.split
+    by rows.
     """
     x, weight, conv, grads, (bias, gamma, beta) = _conv_route(
         "conv_ln_gelu", x, weight, stride, padding, 1, upsample, bias=bias,
@@ -871,7 +856,7 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
         cdf = _gelu_cdf(y)
         data = np.multiply(y, cdf)
     else:
-        # per location, so by rows on two cores inside parallel.two_cores()
+        # per location, so it splits by rows anywhere
         parallel.split(partial(_bias_ln_gelu, bias=bias.data,
                                gamma=gamma.data, beta=beta.data, eps=eps),
                        c, axis=2, at=c.shape[2] // 2)

@@ -1,9 +1,10 @@
 """Dense tensors, trainable parameters, and the reverse-mode tape.
 
-The engine is define-by-run: while a Tape is active, every differentiable
-op appends one backward closure to it. Execution order is a topological
-order by construction, so Tape.backward simply walks the closures in
-reverse, accumulating gradients additively into Tensor.grad buffers.
+The engine is define-by-run: while a thread has a Tape active, every
+differentiable op that thread runs appends one backward closure to it.
+Execution order is a topological order by construction, so Tape.backward
+simply walks the closures in reverse, accumulating gradients additively
+into Tensor.grad buffers.
 
 A tape is single-use. Backward pops each node as it runs it, so the
 closure and whatever it saved are freed at once, and it releases the
@@ -14,14 +15,23 @@ requires_grad=True, keep their gradients; no op output ever is a leaf.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-# Stack of active tapes; ops record onto the innermost one.
-_TAPE_STACK: list["Tape"] = []
+
+class _Tapes(threading.local):
+    """Each thread's stack of active tapes; its ops record onto the
+    innermost one, so another thread's ops never land on it."""
+
+    def __init__(self):
+        self.stack: list["Tape"] = []
+
+
+_tapes = _Tapes()
 
 
 class Tensor:
@@ -106,11 +116,11 @@ class Tape:
         return len(self._nodes)
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _tapes.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _tapes.stack.pop()
         assert popped is self, "tapes must unwind in LIFO order"
 
     def backward(self, output: Tensor) -> None:
@@ -133,7 +143,9 @@ class Tape:
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    """The innermost tape this thread has entered, or None."""
+    stack = _tapes.stack
+    return stack[-1] if stack else None
 
 
 def as_tensor(x: Union[Tensor, ArrayLike], dtype=None) -> Tensor:

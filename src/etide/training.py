@@ -7,18 +7,14 @@ single-pass evaluation with a persistence baseline (forecasts on this
 thread, scoring on the forecast helper thread), and the synthetic
 moving-bar task used for desk-scale learning checks.
 
-predict() at batch 1 is the deployed forecast and runs on two cores
-(numerics.parallel): half of each split point on one helper thread. A
-split keeps the serial forward's bits because each GEMM splits only into
-calls the serial path makes (frames, sub-pixel parities) or on whole
-column groups, never by halo rows. Training, tapes and batches above 1
-run serially, and a split point uses the helper only when its thread
-holds the two_cores() scope and the helper is idle.
+predict() is the deployed forecast and runs on two cores
+(numerics.parallel): half of each split point on one helper thread, with
+the serial forward's bits. parallel's module docstring states when a
+split point uses the helper and why the bits hold.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
 import os
@@ -406,13 +402,11 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
 def predict(model: TideModel, x: np.ndarray) -> np.ndarray:
     """Probabilities [B,T_out,2,H,W] from binary inputs, one forward pass.
 
-    At batch 1 and outside a tape the forward runs on two cores
-    (parallel.two_cores): BLAS at one thread, and one helper thread takes
-    half of each split point (the encoder's frames, each block's tail, the
-    decoder's parity rows and its bias -> LN -> GELU rows, the head and
-    the sigmoid, by rows). The bits are those of the serial forward.
-    Its split points use the helper only when this thread holds the
-    two_cores() scope and the helper is idle (not while it scores).
+    The forward runs inside parallel.two_cores(): BLAS at one thread, and
+    one helper thread takes half of each split point (the encoder's
+    frames, each block's tail, the decoder's parity rows and its bias ->
+    LN -> GELU rows, the head and the sigmoid, by rows), under parallel's
+    rule. The bits are those of the serial forward at the same batch.
 
     The last bits depend on the batch: ops.linear runs gemv on one row
     and gemm on several, so a window's forecast in a batch of two differs
@@ -422,7 +416,7 @@ def predict(model: TideModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim == 4:
         x = x[None]
-    with contextlib.nullcontext() if x.shape[0] > 1 else parallel.two_cores():
+    with parallel.two_cores():
         logits = model.forward(Tensor(x.astype(model.dtype)), training=False)
         return parallel.split(ops.sigmoid, logits, axis=3,
                               at=logits.shape[3] // 2).data
@@ -450,9 +444,9 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
     sequence i (metrics.score_sequence) on the helper while this thread
     forecasts sequence i+1 inline. This thread scores the last sequence
     and folds all Scores in index order, as a serial loop would sum them.
-    Outside a tape, BLAS runs at one thread and gets its count back on
-    return or raise; helper errors raise here once it has finished.
-    train()'s validation takes this path.
+    BLAS gets its thread count back on return or raise, and helper
+    errors raise here once it has finished. train()'s validation takes
+    this path.
     """
     _check_dataset(dataset, model.config)
     if indices is None:
@@ -474,13 +468,10 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
         for acc, score in zip(acc_grid, grid_scores):
             acc.fold(score)
 
-    def run(job):
-        return job()
-
     with parallel.two_cores():
         job = forecast(indices[0]) if indices else None
         for i in indices[1:]:
-            scores, job = parallel.both(run, job, partial(forecast, i))
+            scores, job = parallel.both(job, partial(forecast, i))
             fold(scores)
         if job is not None:
             fold(job())

@@ -478,3 +478,17 @@ class TestVerificationCommands:
         bad = tmp_path / "bad.etw"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         assert main(["inspect", "--ckpt", str(bad)]) == 3
+
+    @pytest.mark.parametrize("block", ["name", "config"])
+    def test_inspect_non_utf8_text_exits_3(self, tmp_path, capsys, block):
+        path = tmp_path / "m.etw"
+        model = init_params(model_cfg(), seed=0)
+        save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        # the first parameter name follows the 12-byte header and its length
+        at = 14 if block == "name" else raw.rindex(
+            config_to_text(model.config).encode("utf-8"))
+        raw[at] = 0xFF
+        path.write_bytes(bytes(raw))
+        assert main(["inspect", "--ckpt", str(path)]) == 3
+        assert f"{path}: {block} is not UTF-8" in capsys.readouterr().err

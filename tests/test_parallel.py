@@ -1,10 +1,12 @@
 """The two-core forecast: predict's split points against the serial forward.
 
-predict() at batch 1 hands half of each split point to one helper thread.
-Its output must be byte-identical to model.forward + ops.sigmoid at one and
-at two OpenBLAS threads; every other forward must stay serial.
+predict() hands half of each split point to one helper thread at every
+batch. Its output must be byte-identical to model.forward + ops.sigmoid at
+one and at two OpenBLAS threads; every forward outside predict, and any
+under a tape on its thread, must stay serial.
 """
 
+import contextlib
 import sys
 import threading
 
@@ -34,18 +36,14 @@ CONFIGS = {
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """The functions handed to the helper thread, in order (for the jobs
-    rollout_eval hands to its run(job), the job's)."""
+    """The names of the functions handed to the helper thread, in order."""
     calls = []
     executor = parallel._executor()
 
-    def name(fn):
-        return getattr(fn, "__name__", None) or fn.func.__name__
-
     class Recording:
-        def submit(self, fn, *args):
-            calls.append(name(args[0]) if name(fn) == "run" else name(fn))
-            return executor.submit(fn, *args)
+        def submit(self, fn):
+            calls.append(fn.func.__name__)
+            return executor.submit(fn)
     monkeypatch.setattr(parallel, "_executor", Recording)
     return calls
 
@@ -177,20 +175,75 @@ def test_batch_changes_only_the_last_bits(name):
                                atol=1e-5)
 
 
-def test_batches_and_tapes_stay_serial(submitted):
+def test_batches_split_like_batch_one(submitted):
     cfg = ModelConfig(**CONFIGS["64x64"])
     model = init_params(cfg, seed=0)
     x = inputs(cfg)["moving-bar"]
+    predict(model, x)
+    one_window = list(submitted)
+    submitted.clear()
     pair = np.stack([x, 1 - x])
     got = predict(model, pair)
+    assert submitted == one_window
+    submitted.clear()
+    want_blas = ops.sigmoid(model.forward(Tensor(pair.astype(np.float32))))
+    with util.single_blas_thread():
+        want_one = ops.sigmoid(model.forward(
+            Tensor(pair.astype(np.float32))))
+    assert not submitted
+    assert got.tobytes() == want_blas.data.tobytes()
+    assert got.tobytes() == want_one.data.tobytes()
+
+
+def test_tapes_stay_serial(submitted):
+    cfg = ModelConfig(**CONFIGS["64x64"])
+    model = init_params(cfg, seed=0)
+    x = inputs(cfg)["moving-bar"]
     with Tape():
         taped = predict(model, x)
         rollout_eval(model, make_moving_bar_dataset(2, height=64, width=64,
                                                     seed=0))
     assert submitted == []
-    want = ops.sigmoid(model.forward(Tensor(pair.astype(np.float32)))).data
-    assert got.tobytes() == want.tobytes()
     assert taped.tobytes() == serial(model, x).tobytes()
+
+
+def test_a_tape_opened_inside_two_cores_records_the_whole_forward(submitted):
+    # the rule holds at each split point, not only where the scope opens:
+    # a split's halves and its join would not be on the tape
+    cfg = ModelConfig(**CONFIGS["64x64"])
+    x = Tensor(inputs(cfg)["moving-bar"][None].astype(np.float32))
+
+    def gradients(scope):
+        model = init_params(cfg, seed=0)
+        with scope():
+            with Tape() as tape:
+                out = model.forward(x)
+                loss = ops.weighted_sum(out, np.ones(out.shape, np.float32))
+            tape.backward(loss)
+        return [p.grad.tobytes() for p in model.parameters()]
+    assert gradients(parallel.two_cores) == gradients(contextlib.nullcontext)
+    assert submitted == []
+
+
+def test_another_threads_tape_neither_records_nor_blocks_a_split(submitted):
+    # a tape records the ops of the thread that entered it: a predict on
+    # another thread adds no node to it and still runs on two cores
+    cfg = ModelConfig(**CONFIGS["64x64"])
+    x = inputs(cfg)["moving-bar"]
+    other = init_params(cfg, seed=1)
+    want = serial(other, x)
+    got = []
+    with Tape() as tape:
+        init_params(cfg, seed=0).forward(Tensor(x[None].astype(np.float32)))
+        nodes = len(tape)
+        thread = threading.Thread(target=lambda: got.append(predict(other,
+                                                                    x)))
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert len(tape) == nodes
+    assert nodes and submitted
+    assert got[0].tobytes() == want.tobytes()
 
 
 def test_split_points_inline_outside_predict(submitted):

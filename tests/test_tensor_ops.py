@@ -767,6 +767,25 @@ class TestSparseStem:
                     == [g.tobytes() for g in want_grads])
         assert (routes or ["dense"]) == [route]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_eight_column_plane_takes_the_dense_route(self, monkeypatch,
+                                                      dtype, record):
+        # a 2x4 output plane: whole 8-column groups, but not whole
+        # parallel.GEMM_COLUMN_GROUP groups, which the sparse route needs
+        x = np.zeros((3, 2, 4, 8), dtype=dtype)
+        x[1, 0, 1, 2] = 1.0
+        want, want_grads = self._run(dense_stem, x, stem_params(dtype),
+                                     record)
+        monkeypatch.setattr(ops, "_stem_columns", None)  # sparse calls it
+        got, got_grads = self._run(
+            lambda *a: ops.conv_ln_gelu(*a, stride=2, padding=1), x,
+            stem_params(dtype), record)
+        assert got.shape == (3, 32, 2, 4) and got.tobytes() == want.tobytes()
+        if record:
+            assert ([g.tobytes() for g in got_grads]
+                    == [g.tobytes() for g in want_grads])
+
     @pytest.mark.parametrize("kind", ["border", "single", "zeros", "0.01"])
     def test_active_columns_are_the_windows_with_events(self, kind):
         # a location is active when its 3x3 stride-2 window, padded with
