@@ -145,10 +145,6 @@ class TideModel:
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def __getitem__(self, name: str) -> Parameter:
         return self.params[name]
 
@@ -392,11 +388,15 @@ def load_checkpoint(path, dtype=np.float32) -> TideModel:
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         name = text(name_len, "name")
         (rank,) = struct.unpack("<B", take(1, "rank"))
+        if rank > 32:  # the most dims every supported NumPy allows
+            raise CheckpointError(f"{path}: {name} has rank {rank}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        n = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(take(4 * n, f"payload of {name}"),
-                             dtype="<f4").reshape(dims)
-        loaded[name] = data
+        # a Python int product: np.prod of uint32 dims can wrap to 0
+        data = np.frombuffer(take(4 * math.prod(dims), f"payload of {name}"),
+                             dtype="<f4")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: {name} has non-finite values")
+        loaded[name] = data.reshape(dims)
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
     cfg_text = text(cfg_len, "config")
     if pos != len(raw):

@@ -35,18 +35,16 @@ def grad_check(fn: Callable[[], Tensor], params: Iterable[Parameter],
 
     fn must rebuild the scalar loss from the current parameter values on
     every call; parameters are perturbed in place for the difference
-    quotients.
+    quotients. The tape gradients are the map one fresh tape returns.
     """
     params = list(params)
     for p in params:
         if p.dtype != np.float64:
             raise ValueError(f"grad_check requires float64 params, got {p.dtype}")
-        p.grad = None
 
     with Tape() as tape:
-        out = fn()
-        tape.backward(out)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+        grads = tape.backward(fn())
+    analytic = [grads[p] if p in grads else np.zeros_like(p.data)
                 for p in params]
 
     worst = 0.0

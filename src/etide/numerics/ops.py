@@ -92,11 +92,12 @@ def _track(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     """Wrap an op's forward result; record its backward on the active tape
     when some input (a Tensor or None) needs a gradient.
 
-    The node keeps only the inputs that need a gradient. Backward pulls the
-    gradients from vjp(out.grad) one at a time and frees each once it is
-    added, so a generator vjp holds one large gradient at a time. It stops
-    after the last input that needs a gradient; a vjp checks requires_grad
-    itself for an earlier input whose gradient is costly to make.
+    The node keeps only the inputs that need a gradient. Backward pops the
+    output's gradient from the tape's map and adds the inputs' gradients
+    from vjp into it one at a time, so a generator vjp holds one large
+    gradient at a time. It stops after the last input that needs one; a
+    vjp checks requires_grad itself for an earlier input whose gradient is
+    costly to make.
     """
     if not _recording(inputs):
         return Tensor(data)
@@ -104,13 +105,17 @@ def _track(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     while need[-1] is None:
         need.pop()
     out = Tensor(data, requires_grad=True)
+    grads = active_tape().grads  # the map, not the tape: no reference cycle
 
     def backward():
-        grads = iter(vjp(out.grad))
+        input_grads = iter(vjp(grads.pop(out)))
         for t in need:
-            g = next(grads)
+            g = next(input_grads)
             if t is not None and g is not None:
-                t.accumulate_grad(g)
+                if t in grads:
+                    grads[t] += g
+                else:  # the bits of zeros + g (-0 becomes +0), written once
+                    grads[t] = np.add(g, 0.0, out=np.empty_like(t.data))
             del g
     active_tape().record(out, backward)
     return out
@@ -923,7 +928,7 @@ def kl_div(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
     lr -= np.log(lq, out=lq)               # lp - lq
     del lq
     val = np.asarray((p.data * lr).sum(), dtype=p.dtype)
-    # each input's derivative without the factor out.grad, each quotient
+    # each input's derivative without the vjp's factor g, each quotient
     # in one buffer (as expressions, they made a train step's memory peak)
     dp = dq = None
     if p.requires_grad:
@@ -1010,7 +1015,7 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     log(sigmoid(t) + eps) = max(a, log eps) + log1p(exp(-|a - log eps|))
     for a = log sigmoid(t), so saturated logits stay finite. Under a tape
     the forward also computes dL/ds = sign(t/s) * dL/dt without the final
-    factor out.grad, and the tape keeps that one array.
+    factor of the output gradient, and the tape keeps that one array.
     """
     logits = as_tensor(logits)
     y = np.asarray(targets)

@@ -3,14 +3,14 @@
 The engine is define-by-run: while a thread has a Tape active, every
 differentiable op that thread runs appends one backward closure to it.
 Execution order is a topological order by construction, so Tape.backward
-simply walks the closures in reverse, accumulating gradients additively
-into Tensor.grad buffers.
+simply walks the closures in reverse over a map from tensor to gradient:
+each pops its output's gradient and adds into its inputs'.
 
 A tape is single-use. Backward pops each node as it runs it, so the
-closure and whatever it saved are freed at once, and it releases the
-node output's gradient (sets it to None) once the closure has consumed
-it. Only leaves, the Parameters and the tensors the caller created with
-requires_grad=True, keep their gradients; no op output ever is a leaf.
+closure and whatever it saved are freed at once, and returns the map,
+which then holds only leaves, the Parameters and the tensors the caller
+created with requires_grad=True; no op output ever is a leaf. No tensor
+stores a gradient, so two tapes, on any threads, never share one.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ _tapes = _Tapes()
 
 
 class Tensor:
-    """A dense n-dimensional float array plus an optional gradient buffer."""
+    """A dense n-dimensional float array; requires_grad asks a tape to
+    record the ops that use it."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  dtype=None):
@@ -47,7 +48,6 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -64,13 +64,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # the bits of zeros + g (-0 becomes +0), written once
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -96,18 +89,18 @@ class Tape:
 
         with Tape() as tape:
             loss = total_loss(model.forward(x, training=True, rng=rng), y, cfg)
-        tape.backward(loss)
+        grads = tape.backward(loss)  # grads[param] is d loss / d param
 
-    Single-use: backward frees every node as it runs it and releases the
-    gradients of node outputs, so afterwards the tape is empty and only
-    leaf tensors hold gradients. A second backward raises ValueError.
+    Single-use: backward frees every node as it runs it, so afterwards the
+    tape is empty. A second backward raises ValueError.
     """
 
-    __slots__ = ("_nodes", "_consumed")
+    __slots__ = ("_nodes", "_consumed", "grads")
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[], None]]] = []
         self._consumed = False
+        self.grads: dict[Tensor, np.ndarray] = {}
 
     def record(self, out: Tensor, backward_fn: Callable[[], None]) -> None:
         self._nodes.append((out, backward_fn))
@@ -123,23 +116,24 @@ class Tape:
         popped = _tapes.stack.pop()
         assert popped is self, "tapes must unwind in LIFO order"
 
-    def backward(self, output: Tensor) -> None:
-        """Seed d(output)/d(output) = 1 and propagate in reverse order,
-        popping each node and releasing its output's gradient once its
-        closure has run."""
+    def backward(self, output: Tensor) -> dict[Tensor, np.ndarray]:
+        """Seed d(output)/d(output) = 1, propagate in reverse order, popping
+        each node as it runs, and return the map from each leaf that
+        output depends on to d(output)/d(leaf)."""
         if self._consumed:
             raise ValueError("backward() already ran on this tape")
         if output.data.size != 1:
             raise ValueError(
                 f"backward() needs a scalar output, got shape {output.data.shape}")
         self._consumed = True
-        output.accumulate_grad(np.ones_like(output.data))
+        grads = self.grads
+        grads[output] = np.ones_like(output.data)
         nodes = self._nodes
         while nodes:
             out, fn = nodes.pop()
-            if out.grad is not None:
+            if out in grads:
                 fn()
-                out.grad = None
+        return grads
 
 
 def active_tape() -> Optional[Tape]:

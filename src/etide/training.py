@@ -20,17 +20,19 @@ import math
 import os
 import time
 import tracemalloc
+import zipfile
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .events import (DEFAULT_BIN_US, OccurrenceTensor, bin_events,
-                     random_bar_scene, read_ocm, synth_scene, write_ocm)
+from .events import (DEFAULT_BIN_US, FileFormatError, OccurrenceTensor,
+                     bin_events, random_bar_scene, read_ocm, synth_scene,
+                     write_ocm)
 from .losses import LossConfig, total_loss
 from .metrics import MetricAccumulator, format_record, score_sequence
-from .model import (ModelConfig, TideModel, count_params, init_params,
-                    save_checkpoint)
+from .model import (CheckpointError, ModelConfig, TideModel, count_params,
+                    init_params, save_checkpoint)
 from .numerics import Tape, Tensor, ops, parallel
 from .util import atomic_write_bytes, is_binary
 
@@ -108,65 +110,72 @@ class AdamState:
 
     @classmethod
     def load(cls, path, model: TideModel) -> "AdamState":
+        """Read a state save() wrote. A file np.load cannot read raises
+        CheckpointError naming the path; entries that do not match the
+        model's parameters raise ValueError."""
+        try:
+            with np.load(path) as npz:
+                data = dict(npz)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(
+                f"{path}: unreadable optimizer state ({exc})") from exc
         state = cls(model)
-        with np.load(path) as data:
-            names = set(state.m)
-            seen = set()
-            for key in data.files:
-                if key in ("step", "epochs_done"):
-                    continue
-                kind, _, name = key.partition(":")
-                if kind not in ("m", "v") or name not in names:
-                    raise ValueError(f"unexpected optimizer entry {key!r}")
-                target = state.m if kind == "m" else state.v
-                if data[key].shape != target[name].shape:
-                    raise ValueError(f"optimizer entry {key!r} has shape "
-                                     f"{data[key].shape}, expected "
-                                     f"{target[name].shape}")
-                target[name] = data[key].astype(target[name].dtype)
-                seen.add(key)
-            missing = ({f"m:{n}" for n in names} | {f"v:{n}" for n in names}) - seen
-            if missing:
-                raise ValueError(f"optimizer state missing {sorted(missing)[0]!r}")
-            state.step = int(data["step"])
-            state.epochs_done = int(data["epochs_done"])
+        counters = ("step", "epochs_done")
+        expected = {f"{kind}:{n}" for kind in "mv" for n in state.m}
+        for key, value in data.items():
+            if key in counters:
+                continue
+            if key not in expected:
+                raise ValueError(f"unexpected optimizer entry {key!r}")
+            kind, _, name = key.partition(":")
+            target = state.m if kind == "m" else state.v
+            if value.shape != target[name].shape:
+                raise ValueError(f"optimizer entry {key!r} has shape "
+                                 f"{value.shape}, expected "
+                                 f"{target[name].shape}")
+            target[name] = value.astype(target[name].dtype)
+        missing = (expected | set(counters)) - set(data)
+        if missing:
+            raise ValueError(f"optimizer state missing {sorted(missing)[0]!r}")
+        state.step = int(data["step"])
+        state.epochs_done = int(data["epochs_done"])
         return state
 
 
-def grad_norm(params) -> float:
-    """Global L2 norm of the gradients; parameters without one are skipped."""
-    return sum(float((p.grad ** 2).sum()) for p in params
-               if p.grad is not None) ** 0.5
+def grad_norm(params, grads) -> float:
+    """Global L2 norm of the map `grads`, summed in `params` order;
+    parameters without a gradient are skipped."""
+    return sum(float((grads[p] ** 2).sum()) for p in params
+               if p in grads) ** 0.5
 
 
-def _check_finite(params, epoch: int, step: int, **values) -> None:
+def _check_finite(params, grads, epoch: int, step: int, **values) -> None:
     """Raise ValueError unless every named value is finite. The message
     names the bad values, the epoch and step (both counted from 1) and the
-    first parameter whose value, or failing that whose gradient, is not
-    finite."""
+    first parameter whose value, or failing that gradient, is not finite."""
     bad = [name for name, v in values.items() if not np.isfinite(v).all()]
     if not bad:
         return
     culprit = next((p.name for p in params if not np.isfinite(p.data).all()),
                    None)
     if culprit is None:
-        culprit = next((p.name for p in params if p.grad is not None
-                        and not np.isfinite(p.grad).all()), "none")
+        culprit = next((p.name for p in params if p in grads
+                        and not np.isfinite(grads[p]).all()), "none")
     raise ValueError(
         f"non-finite {' and '.join(bad)} at epoch {epoch}, step {step}; "
         f"first bad parameter: {culprit}")
 
 
-def adam_step(params, state: AdamState, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
+def adam_step(params, grads, state: AdamState, lr: float = 1e-3,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
               grad_clip: float = 0.0, norm: float | None = None) -> None:
     """One bias-corrected Adam update in place; missing grads count as zero.
-    `norm` is grad_norm(params) when the caller has it already."""
+    `norm` is grad_norm(params, grads) when the caller has it already."""
     params = list(params)
     scale = 1.0
     if grad_clip > 0.0:
         if norm is None:
-            norm = grad_norm(params)
+            norm = grad_norm(params, grads)
         if norm > grad_clip:
             scale = grad_clip / norm
 
@@ -174,7 +183,7 @@ def adam_step(params, state: AdamState, lr: float = 1e-3, beta1: float = 0.9,
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
     for p in params:
-        g = np.zeros_like(p.data) if p.grad is None else p.grad * scale
+        g = grads[p] * scale if p in grads else np.zeros_like(p.data)
         m = state.m[p.name]
         v = state.v[p.name]
         m *= beta1
@@ -278,12 +287,14 @@ def save_dataset(dataset: SequenceDataset, out_dir) -> None:
 def load_dataset(data_dir) -> SequenceDataset:
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     with open(manifest, encoding="utf-8") as fh:
-        rows = [line.split() for line in fh if line.strip()]
+        rows = [(i, line.split()) for i, line in enumerate(fh, 1)
+                if line.strip()]
     xs, ys = [], []
     bin_duration = DEFAULT_BIN_US
-    for row in rows:
+    for line, row in rows:
         if len(row) != 2:
-            raise ValueError(f"manifest row must list two files, got {row}")
+            raise FileFormatError(f"{manifest}: line {line} must list two "
+                                  f"files, got {row}")
         occ_in = read_ocm(os.path.join(data_dir, row[0]))
         occ_tgt = read_ocm(os.path.join(data_dir, row[1]))
         xs.append(occ_in.frames)
@@ -326,7 +337,8 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
     """Run (or, with a loaded optimizer state, resume) the training loop.
 
     Epoch-derived random streams make a resumed run replay exactly what the
-    unbroken run would have done from that epoch on. Returns the model and
+    unbroken run would have done from that epoch on. A step's gradients
+    are its own tape's map, freed after Adam. Returns the model and
     one history record per completed epoch; its grad_norm is the mean over
     the epoch's steps of the global gradient norm before clipping.
     At initialisation that norm is huge. The conv biases start at zero, so
@@ -357,21 +369,21 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
             y = dataset.targets[batch]  # uint8: the loss casts it
             droppath_rng = np.random.default_rng(
                 [cfg.seed, _DROPPATH_TAG, epoch, step])
-            model.zero_grad()
             with Tape() as tape:
                 logits = model.forward(Tensor(x), training=True,
                                        rng=droppath_rng)
                 # before the loss: its KL term rejects non-finite rows itself
-                _check_finite(params, epoch + 1, step + 1,
+                _check_finite(params, {}, epoch + 1, step + 1,
                               logits=logits.data)
                 loss = total_loss(logits, y, cfg.loss)
-                tape.backward(loss)
-            norm = grad_norm(params)
-            _check_finite(params, epoch + 1, step + 1, loss=loss.data,
+                grads = tape.backward(loss)
+            norm = grad_norm(params, grads)
+            _check_finite(params, grads, epoch + 1, step + 1, loss=loss.data,
                           gradient_norm=norm)
-            adam_step(params, state, lr=cfg.lr, beta1=cfg.beta1,
+            adam_step(params, grads, state, lr=cfg.lr, beta1=cfg.beta1,
                       beta2=cfg.beta2, eps=cfg.eps, grad_clip=cfg.grad_clip,
                       norm=norm)
+            del tape, grads  # so they do not live through the next forward
             loss_sum += loss.item() * len(batch)
             norm_sum += norm
 

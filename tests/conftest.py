@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from etide import util
@@ -10,6 +11,26 @@ from etide.numerics import active_tape, parallel
 
 def blas_thread_counts():
     return [get() for get, _ in util._blas_controls()]
+
+
+def assert_mutations_rejected(path, raw, header, read, error, seed):
+    """Write 300 seeded mutations of the valid file `raw` to `path`: a
+    random byte in the first `header` bytes, a truncation, or a random
+    byte anywhere, a third each. `read(path)` must load each one or raise
+    `error` with the path in its message; any other exception fails."""
+    rng = np.random.default_rng(seed)
+    for i in range(300):
+        data = bytearray(raw)
+        at = int(rng.integers(header if i % 3 == 0 else len(raw)))
+        if i % 3 == 1:
+            del data[at:]
+        else:
+            data[at] = int(rng.integers(256))
+        path.write_bytes(bytes(data))
+        try:
+            read(path)
+        except error as exc:
+            assert str(path) in str(exc), (i, exc)
 
 
 @pytest.fixture(autouse=True)

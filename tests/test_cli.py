@@ -201,23 +201,54 @@ class TestTrain:
                      "--out", str(out)]) == 0
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()
                   if f.is_file()}
-        poisoned = load_checkpoint(out)
-        poisoned["dec1.conv.w"].data[0, 0, 1, 1] = np.nan
+        # a NaN weight would not load, so the NaN is in Adam's first
+        # moment: the first step of epoch 2 writes it into the weight
         bad = tmp_path / "bad" / "poisoned.etw"
         bad.parent.mkdir()
-        save_checkpoint(bad, poisoned)
-        (tmp_path / "bad" / "poisoned.etw.opt.npz").write_bytes(
-            before["model.etw.opt.npz"])
+        bad.write_bytes(before["model.etw"])
+        with np.load(str(out) + ".opt.npz") as npz:
+            state = dict(npz)
+        state["m:dec1.conv.w"][0, 0, 1, 1] = np.nan
+        np.savez(str(bad) + ".opt.npz", **state)
         capsys.readouterr()
         cfg2 = write_train_config(tmp_path / "cfg2.txt", epochs=2)
         assert main(["train", "--data", str(data), "--config", str(cfg2),
                      "--out", str(out), "--resume", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "epoch 2, step 1" in err and "dec1.conv.w" in err
+        assert "epoch 2, step 2" in err and "dec1.conv.w" in err
         after = {f.name: f.read_bytes() for f in tmp_path.iterdir()
                  if f.is_file()}
         assert after.keys() - {"cfg2.txt"} == before.keys()
         assert all(after[name] == before[name] for name in before)
+
+    def test_truncated_optimizer_state_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, 4)) == 0
+        cfg = write_train_config(tmp_path / "cfg.txt")
+        out = tmp_path / "model.etw"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        sidecar = tmp_path / "model.etw.opt.npz"
+        sidecar.write_bytes(sidecar.read_bytes()[:-40])
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "again.etw"),
+                     "--resume", str(out)]) == 3
+        assert f"{sidecar}: unreadable optimizer state" in (
+            capsys.readouterr().err)
+
+    def test_malformed_manifest_row_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, 2)) == 0
+        manifest = data / training.MANIFEST_NAME
+        first, second = manifest.read_text().splitlines()
+        manifest.write_text(f"{first}\n\n{second} extra\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--config",
+                     str(write_train_config(tmp_path / "cfg.txt")),
+                     "--out", str(tmp_path / "m.etw")]) == 3
+        assert f"{manifest}: line 3 must list two files" in (
+            capsys.readouterr().err)
 
     def test_checkpoint_independent_of_blas_threads(self, tmp_path):
         data = tmp_path / "data"
@@ -492,3 +523,26 @@ class TestVerificationCommands:
         path.write_bytes(bytes(raw))
         assert main(["inspect", "--ckpt", str(path)]) == 3
         assert f"{path}: {block} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,message", [
+        ("rank", "enc0.conv.w has rank 82"),
+        # 2^31 four times is 2^124: np.prod of the dims wraps to 0
+        ("wrapping-dims", "truncated reading payload of enc0.conv.w"),
+        ("nan", "enc0.conv.w has non-finite values")])
+    def test_inspect_malformed_weights_exit_3(self, tmp_path, capsys, case,
+                                              message):
+        path = tmp_path / "m.etw"
+        model = init_params(model_cfg(), seed=0)
+        if case == "nan":
+            model["enc0.conv.w"].data[0, 0, 1, 1] = np.nan
+        save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        rank_at = 12 + 2 + len("enc0.conv.w")  # the first parameter's rank
+        assert raw[rank_at] == 4
+        if case == "rank":
+            raw[rank_at] = 82
+        elif case == "wrapping-dims":
+            raw[rank_at + 1:rank_at + 17] = (2 ** 31).to_bytes(4, "little") * 4
+        path.write_bytes(bytes(raw))
+        assert main(["inspect", "--ckpt", str(path)]) == 3
+        assert f"{path}: {message}" in capsys.readouterr().err

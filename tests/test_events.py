@@ -8,6 +8,8 @@ from etide.events import (EventStream, FileFormatError, MovingObject,
                           random_bar_scene, read_evt, read_ocm, synth_scene,
                           write_evt, write_ocm)
 
+from conftest import assert_mutations_rejected
+
 
 def stream_of(width, height, quads):
     t, u, v, p = zip(*quads) if quads else ((), (), (), ())
@@ -165,6 +167,22 @@ class TestFileFormats:
         good.write_bytes(good.read_bytes()[:-5])
         with pytest.raises(FileFormatError, match="bytes"):
             read_ocm(good)
+
+    def test_evt_mutations_load_or_raise_format_error(self, tmp_path):
+        s = stream_of(32, 24, [(0, 1, 2, 1), (7, 31, 0, -1), (7, 5, 23, 1),
+                               (900, 16, 12, -1)])
+        write_evt(tmp_path / "a.evt", s)
+        assert_mutations_rejected(tmp_path / "m.evt",
+                                  (tmp_path / "a.evt").read_bytes(), 16,
+                                  read_evt, FileFormatError, seed=1)
+
+    def test_ocm_mutations_load_or_raise_format_error(self, tmp_path):
+        f = (np.random.default_rng(2).random((3, 2, 6, 5)) < 0.3)
+        write_ocm(tmp_path / "a.ocm", OccurrenceTensor(f.astype(np.uint8),
+                                                       33_333, t0=1000))
+        assert_mutations_rejected(tmp_path / "m.ocm",
+                                  (tmp_path / "a.ocm").read_bytes(), 37,
+                                  read_ocm, FileFormatError, seed=2)
 
     def test_ocm_rejects_nonbinary(self, tmp_path):
         x = OccurrenceTensor(np.ones((1, 2, 2, 2), dtype=np.uint8), 30)

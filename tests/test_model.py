@@ -12,6 +12,8 @@ from etide.numerics import Tensor, ops
 from etide.training import predict
 from etide.util import config_from_text
 
+from conftest import assert_mutations_rejected
+
 
 def tiny_config(**overrides):
     base = dict(t_in=3, t_out=3, height=8, width=8, c_step=2, n_blocks=1,
@@ -314,6 +316,16 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_mutations_load_or_raise_checkpoint_error(self, tmp_path):
+        model = init_params(tiny_config(), seed=0)
+        save_checkpoint(tmp_path / "a.etw", model)
+        first = model.parameters()[0]
+        # the file header and the first parameter's name, rank and dims
+        header = 12 + 2 + len(first.name) + 1 + 4 * first.data.ndim
+        assert_mutations_rejected(tmp_path / "m.etw",
+                                  (tmp_path / "a.etw").read_bytes(), header,
+                                  load_checkpoint, CheckpointError, seed=3)
 
     def test_trailing_garbage(self, tmp_path):
         model = init_params(tiny_config(), seed=0)

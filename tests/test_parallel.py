@@ -219,8 +219,8 @@ def test_a_tape_opened_inside_two_cores_records_the_whole_forward(submitted):
             with Tape() as tape:
                 out = model.forward(x)
                 loss = ops.weighted_sum(out, np.ones(out.shape, np.float32))
-            tape.backward(loss)
-        return [p.grad.tobytes() for p in model.parameters()]
+            grads = tape.backward(loss)
+        return [grads[p].tobytes() for p in model.parameters()]
     assert gradients(parallel.two_cores) == gradients(contextlib.nullcontext)
     assert submitted == []
 

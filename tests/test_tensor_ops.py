@@ -6,6 +6,8 @@ nested loops and sorting, not from the library code under test.
 
 import inspect
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -14,7 +16,7 @@ import pytest
 from scipy.special import erf
 
 from etide.model import ModelConfig, init_params
-from etide.numerics import (ShapeError, Tape, Tensor, active_tape,
+from etide.numerics import (ShapeError, Tape, Tensor,
                             grad_check, ops, op_suite_cases, run_op_suite)
 from etide.numerics.tensor import Parameter
 
@@ -116,19 +118,11 @@ def upsample_oracle(x):
 
 
 def upsample_on_tape(x):
-    """upsample_oracle of a Tensor, recorded on the active tape: the
+    """upsample_oracle of a Tensor, recorded through ops._track: the
     backward sums each 2x2 block of the output gradient."""
-    tape = active_tape()
-    out = Tensor(upsample_oracle(x.data), requires_grad=tape is not None,
-                 dtype=x.dtype)
-    if tape is not None:
-        b_, c, h, w = x.shape
-
-        def backward():
-            x.accumulate_grad(
-                out.grad.reshape(b_, c, h, 2, w, 2).sum(axis=(3, 5)))
-        tape.record(out, backward)
-    return out
+    b_, c, h, w = x.shape
+    return ops._track(upsample_oracle(x.data), (x,), lambda g: (
+        g.reshape(b_, c, h, 2, w, 2).sum(axis=(3, 5)),))
 
 
 def quantile_oracle(values, q):
@@ -283,11 +277,9 @@ class TestConv2d:
 
 def _grads(fn, tensors, weights):
     """Gradients of sum(fn() * weights) with respect to each tensor."""
-    for t in tensors:
-        t.grad = None
     with Tape() as tape:
-        tape.backward(ops.weighted_sum(fn(), weights))
-    return [t.grad for t in tensors]
+        grads = tape.backward(ops.weighted_sum(fn(), weights))
+    return [grads.get(t) for t in tensors]
 
 
 class TestUpsample2Conv:
@@ -447,9 +439,9 @@ class TestDepthwise:
         with Tape() as tape:
             out = ops.conv2d(x, w, dilation=dilation, padding=padding)
             g = rng.normal(size=out.shape).astype(dtype)
-            tape.backward(ops.weighted_sum(out, g))
+            grads = tape.backward(ops.weighted_sum(out, g))
         dx, dw = depthwise_grads_oracle(g, x.data, w.data, dilation, padding)
-        for got, ref in ((x.grad, dx), (w.grad, dw)):
+        for got, ref in ((grads[x], dx), (grads[w], dw)):
             assert got.dtype == dtype and got.shape == ref.shape
             err = np.abs(got - ref).max()
             assert err <= bound * np.abs(ref).max(), err
@@ -643,9 +635,9 @@ class TestSoftmaxKL:
         with Tape() as tape:
             p = ops.softmax_temp(xp, tau)
             loss = ops.weighted_sum(p, w)
-        tape.backward(loss)
+        grads = tape.backward(loss)
         assert p.dtype == dtype and p.data.tobytes() == want.tobytes()
-        assert xp.grad.tobytes() == want_grad.tobytes()
+        assert grads[xp].tobytes() == want_grad.tobytes()
 
     def test_forward_keeps_one_full_size_buffer(self):
         x = Tensor(np.random.default_rng(6).normal(size=(64, 4096)))
@@ -730,15 +722,13 @@ class TestSparseStem:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if not record:
             return op(x, *params).data, None
-        for t in leaves:
-            t.grad = None
         with Tape() as tape:
             out = op(x, *params)
             proj = np.random.default_rng(13).uniform(-1.0, 1.0,
                                                      size=out.shape)
             loss = ops.weighted_sum(out, proj.astype(x.dtype))
-        tape.backward(loss)
-        return out.data, [t.grad for t in leaves]
+        grads = tape.backward(loss)
+        return out.data, [grads[t] for t in leaves]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("record", [False, True])
@@ -1086,8 +1076,8 @@ class TestGradients:
         with Tape() as tape:
             y = ops.add(x, x)
             s = ops.weighted_sum(y, np.ones(2))
-            tape.backward(s)
-        assert np.allclose(x.grad, [2.0, 2.0])
+            grads = tape.backward(s)
+        assert np.allclose(grads[x], [2.0, 2.0])
 
     def test_backward_requires_scalar(self):
         x = Parameter(np.ones(3), "x", dtype=np.float64)
@@ -1098,7 +1088,8 @@ class TestGradients:
 
 
 class TestTapeRelease:
-    """Backward frees the tape as it runs; only leaves keep gradients.
+    """Backward frees the tape as it runs and returns a map that holds only
+    the leaves' gradients.
 
     The graph is loss = 1*r0 + 2*r1 with r = relu(h), h = x @ w^T; at
     x = [2, 1], w = [[1, 2], [0.5, -3]] that is h = [4, -2], so
@@ -1142,25 +1133,85 @@ class TestTapeRelease:
         w, x = self._leaves()
         with Tape() as tape:
             h, r, loss = self._loss(w, x)
-        tape.backward(loss)
-        assert h.grad is None and r.grad is None and loss.grad is None
+        grads = tape.backward(loss)
+        assert h not in grads and r not in grads and loss not in grads
 
     def test_leaf_grads_kept(self):
         w, x = self._leaves()
         with Tape() as tape:
             _, _, loss = self._loss(w, x)
-        tape.backward(loss)
-        assert np.array_equal(w.grad, [[2.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(x.grad, [[1.0, 2.0]])
+        grads = tape.backward(loss)
+        assert set(grads) == {w, x}
+        assert np.array_equal(grads[w], [[2.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(grads[x], [[1.0, 2.0]])
 
     def test_second_backward_raises(self):
         w, x = self._leaves()
         with Tape() as tape:
             _, _, loss = self._loss(w, x)
-        tape.backward(loss)
+        grads = tape.backward(loss)
         with pytest.raises(ValueError, match="already ran"):
             tape.backward(loss)
-        assert np.array_equal(x.grad, [[1.0, 2.0]])
+        assert np.array_equal(grads[x], [[1.0, 2.0]])
+
+    def test_two_tapes_return_independent_maps(self):
+        # no tensor keeps a gradient, so the second tape's map does not
+        # hold the first's, and the first map is left as it was
+        w, x = self._leaves()
+        maps = []
+        for _ in range(2):
+            with Tape() as tape:
+                _, _, loss = self._loss(w, x)
+            maps.append(tape.backward(loss))
+        first, second = maps
+        for t in (w, x):
+            assert second[t] is not first[t]
+            assert second[t].tobytes() == first[t].tobytes()
+        assert np.array_equal(first[x], [[1.0, 2.0]])
+        assert np.array_equal(second[x], [[1.0, 2.0]])
+
+
+def test_threads_with_their_own_tapes_match_serial_gradients():
+    # one model, one tape per thread, switching threads every microsecond:
+    # each thread's map has the bytes of the same pass run alone
+    cfg = ModelConfig(t_in=4, t_out=4, height=32, width=32, c_step=2,
+                      n_blocks=1, enc_widths=(4,), dec_widths=(8, 4),
+                      droppath_rate=0.0)
+    model = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    inputs = [(rng.random((1, 4, 2, 32, 32)) < 0.1).astype(np.float32)
+              for _ in range(3)]
+
+    def gradients(x):
+        with Tape() as tape:
+            out = model.forward(Tensor(x), training=True)
+            loss = ops.weighted_sum(out, np.linspace(-1.0, 1.0, out.size,
+                                                     dtype=np.float32)
+                                    .reshape(out.shape))
+        grads = tape.backward(loss)
+        return [grads[p].tobytes() for p in model.parameters()]
+
+    want = [gradients(x) for x in inputs]
+    got = [[] for _ in inputs]
+
+    def run(i):
+        for _ in range(4):
+            got[i].append(gradients(inputs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for passes, ref in zip(got, want):
+        assert passes == [ref] * 4
 
 
 def test_run_op_suite_all_pass():
@@ -1209,25 +1260,31 @@ class TestBackwardBuffers:
         got = next(ops._layer_norm_grads(g, xn, inv, gamma, need_dx=True))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def _gradient(t, *gs):
+        """t's gradient from a tape whose one node hands it each of gs."""
+        with Tape() as tape:
+            out = ops._track(np.zeros(()), (t,) * len(gs), lambda _: gs)
+        return tape.backward(out)[t]
+
     def test_first_gradient_is_zeros_plus_g(self, arrays):
         g = arrays()
         g[0, 0, 0, :2] = (-0.0, np.nan)
-        t = Tensor(np.ones_like(g))
-        t.accumulate_grad(g)
+        t = Tensor(np.ones_like(g), requires_grad=True)
+        got = self._gradient(t, g)
         want = np.zeros_like(g)
         want += g
-        assert t.grad.tobytes() == want.tobytes()
-        assert t.grad is not g and not np.signbit(t.grad[0, 0, 0, 0])
-        t.accumulate_grad(g)
+        assert got.tobytes() == want.tobytes()
+        assert got is not g and not np.signbit(got[0, 0, 0, 0])
         want += g
-        assert t.grad.tobytes() == want.tobytes()
+        assert self._gradient(t, g, g).tobytes() == want.tobytes()
 
     def test_first_gradient_broadcasts_and_casts(self):
         # a gradient of another shape or dtype is added as += would
-        t = Tensor(np.ones((2, 3), dtype=np.float32))
+        t = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
         g = np.array([0.1, -0.2, 0.3])
-        t.accumulate_grad(g)
+        got = self._gradient(t, g)
         want = np.zeros((2, 3), dtype=np.float32)
         want += g
-        assert t.grad.dtype == np.float32
-        assert t.grad.tobytes() == want.tobytes()
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()

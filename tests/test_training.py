@@ -76,8 +76,7 @@ class TestAdam:
         p = Parameter(np.array([0.5]), "w", dtype=np.float64)
         model = _ParamBag([p])
         state = AdamState(model)
-        p.grad = np.array([1.0])
-        adam_step([p], state, lr=1e-3)
+        adam_step([p], {p: np.array([1.0])}, state, lr=1e-3)
         assert p.data[0] == pytest.approx(0.5 - 1e-3, abs=1e-9)
         assert state.step == 1
 
@@ -86,30 +85,26 @@ class TestAdam:
         p = Parameter(np.array([0.25]), "w", dtype=np.float64)
         state = AdamState(_ParamBag([p]))
         for g in grads:
-            p.grad = np.array([g])
-            adam_step([p], state, lr=1e-3)
+            adam_step([p], {p: np.array([g])}, state, lr=1e-3)
         assert p.data[0] == pytest.approx(adam_oracle(0.25, grads), abs=1e-12)
 
     def test_zero_grad_keeps_params(self):
         p = Parameter(np.array([1.0, -2.0]), "w", dtype=np.float64)
         state = AdamState(_ParamBag([p]))
-        p.grad = np.zeros(2)
-        adam_step([p], state)
+        adam_step([p], {p: np.zeros(2)}, state)
         assert np.array_equal(p.data, [1.0, -2.0])
         assert state.step == 1
 
     def test_missing_grad_treated_as_zero(self):
         p = Parameter(np.array([3.0]), "w", dtype=np.float64)
         state = AdamState(_ParamBag([p]))
-        p.grad = None
-        adam_step([p], state)
+        adam_step([p], {}, state)
         assert p.data[0] == 3.0
 
     def test_grad_clip_rescales(self):
         p = Parameter(np.array([0.0]), "w", dtype=np.float64)
         state = AdamState(_ParamBag([p]))
-        p.grad = np.array([10.0])
-        adam_step([p], state, lr=1e-3, grad_clip=1.0)
+        adam_step([p], {p: np.array([10.0])}, state, lr=1e-3, grad_clip=1.0)
         clipped = adam_oracle(0.0, [1.0], lr=1e-3)
         assert p.data[0] == pytest.approx(clipped, abs=1e-12)
 
@@ -117,11 +112,11 @@ class TestAdam:
         p = Parameter(np.array([3.0]), "w", dtype=np.float64)
         q = Parameter(np.array([0.0, 0.0]), "v", dtype=np.float64)
         r = Parameter(np.array([1.0]), "u", dtype=np.float64)
-        p.grad, q.grad, r.grad = np.array([3.0]), np.array([0.0, 4.0]), None
-        assert grad_norm([p, q, r]) == 5.0
+        grads = {p: np.array([3.0]), q: np.array([0.0, 4.0])}
+        assert grad_norm([p, q, r], grads) == 5.0
         state = AdamState(_ParamBag([p, q, r]))
         # a given norm is used as is: 10 against a clip of 1 scales by 0.1
-        adam_step([p, q, r], state, lr=1e-3, grad_clip=1.0, norm=10.0)
+        adam_step([p, q, r], grads, state, lr=1e-3, grad_clip=1.0, norm=10.0)
         assert p.data[0] == pytest.approx(
             adam_oracle(3.0, [0.3], lr=1e-3), abs=1e-12)
 
@@ -130,9 +125,9 @@ class TestAdam:
         model = init_params(cfg, seed=0)
         state = AdamState(model)
         rng = np.random.default_rng(0)
-        for p in model.parameters():
-            p.grad = rng.normal(size=p.shape).astype(p.dtype)
-        adam_step(model.parameters(), state)
+        grads = {p: rng.normal(size=p.shape).astype(p.dtype)
+                 for p in model.parameters()}
+        adam_step(model.parameters(), grads, state)
         path = tmp_path / "state.opt.npz"
         state.save(path)
         loaded = AdamState.load(path, model)
@@ -140,6 +135,18 @@ class TestAdam:
         for name in state.m:
             assert np.array_equal(loaded.m[name], state.m[name])
             assert np.array_equal(loaded.v[name], state.v[name])
+
+    @pytest.mark.parametrize("key", ["step", "m:head.b"])
+    def test_state_missing_entry_raises_value_error(self, tmp_path, key):
+        model = init_params(tiny_model_cfg(), seed=0)
+        path = tmp_path / "state.opt.npz"
+        AdamState(model).save(path)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        del arrays[key]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"missing '{key}'"):
+            AdamState.load(path, model)
 
 
 class _ParamBag:
@@ -296,9 +303,9 @@ class TestTrainLoop:
         x = ds.inputs[[0]].astype(np.float32)
         y = ds.targets[[0]].astype(np.float32)
         with Tape() as tape:
-            tape.backward(total_loss(model.forward(Tensor(x), training=True),
-                                     y, cfg.loss))
-        assert history[0]["grad_norm"] == grad_norm(model.parameters())
+            grads = tape.backward(total_loss(
+                model.forward(Tensor(x), training=True), y, cfg.loss))
+        assert history[0]["grad_norm"] == grad_norm(model.parameters(), grads)
 
     def test_overfit_single_sample(self):
         cfg = tiny_train_cfg(epochs=50, batch_size=1, lr=3e-3, val_split=0.0,
@@ -356,14 +363,13 @@ class TestTrainLoop:
         rng = np.random.default_rng(0)
         x = (rng.random((2, 3, 2, 16, 16)) < 0.3).astype(np.float32)
         y = (rng.random((2, 3, 2, 16, 16)) < 0.3).astype(np.float32)
-        model.zero_grad()
         with Tape() as tape:
             loss = total_loss(model.forward(Tensor(x), training=True,
                                             rng=np.random.default_rng(1)),
                               y, LossConfig())
-            tape.backward(loss)
+            grads = tape.backward(loss)
         for p in model.parameters():
-            assert p.grad is not None and np.abs(p.grad).sum() > 0, p.name
+            assert p in grads and np.abs(grads[p]).sum() > 0, p.name
 
     def test_dataset_model_mismatch_rejected(self):
         cfg = tiny_train_cfg()
