@@ -19,9 +19,7 @@ the gate being a squeeze MLP fed by an activity-masked spatial mean.
 The forward has split points (numerics.parallel.split): the encoder's
 frames, each block's per-location tail LN -> ffn -> residual, and the head.
 parallel's module docstring says when a helper thread computes one half
-(in training.predict) and why the halves keep the bits; the tail and head
-split rows where each part holds whole GEMM column groups
-(parallel.group_rows).
+(in training.predict), where split cuts and why the halves keep the bits.
 """
 
 from __future__ import annotations
@@ -175,9 +173,7 @@ class TideModel:
         cfg = self.config
         b = x.shape[0]
         h = ops.reshape(x, (b * cfg.t_in, 2, cfg.height, cfg.width))
-        # each frame is one row of every batched matmul: its halves split
-        return parallel.split(self._encode_frames, h, axis=0,
-                              at=h.shape[0] // 2)
+        return parallel.split(self._encode_frames, h, axis=0)
 
     def _encode_frames(self, h: Tensor) -> Tensor:
         for i in range(self.config.stages):
@@ -234,12 +230,10 @@ class TideModel:
         un = ops.layer_norm_channels(u, self[f"{p}.ln1.g"], self[f"{p}.ln1.b"])
         branch = ops.drop_path(self.tide_core(un, block), rate, training, rng)
         u = ops.add(u, branch)
-        # the tail is per location: it splits by rows, on whole GEMM
-        # column groups of its 1x1 convs
+        # the tail is per location: it splits by rows
         tail = partial(self._ffn_tail, block=block, training=training,
                        rng=rng)
-        return parallel.split(tail, u, axis=2,
-                              at=parallel.group_rows(*u.shape[2:]))
+        return parallel.split(tail, u, axis=2)
 
     def _ffn_tail(self, u: Tensor, block: int, training: bool,
                   rng: Optional[np.random.Generator]) -> Tensor:
@@ -258,8 +252,7 @@ class TideModel:
         h = z
         for j in range(cfg.stages):
             h = self._stage(h, f"dec{j}", upsample=True)
-        logits = parallel.split(self._head, h, axis=2,
-                                at=parallel.group_rows(*h.shape[2:]))
+        logits = parallel.split(self._head, h, axis=2)
         b = z.shape[0]
         return ops.reshape(logits, (b, cfg.t_out, 2, cfg.height, cfg.width))
 

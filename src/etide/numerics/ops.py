@@ -4,8 +4,9 @@ An op computes its forward result eagerly with numpy and returns
 _track(data, inputs, vjp). vjp(g) is its vector-Jacobian product: given
 the output gradient g, it returns or yields one gradient per input, in
 input order, None for an input that needs none. _track alone checks for an
-active tape, records the node and adds the gradients into the inputs; an op
-that saves buffers only for its backward asks _recording(inputs) first.
+active tape, records the node and adds the inputs' gradients into the
+tape's map; an op that saves buffers only for its backward asks
+_recording(inputs) first.
 Each op also has a _case row in gradcheck.op_suite_cases, which checks its
 vjp against central differences.
 
@@ -184,9 +185,9 @@ def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
     x = as_tensor(x)
     cdf = _gelu_cdf(x.data)
-    # the backward needs cdf; an input without a gradient never records,
-    # so the product may overwrite it
-    data = np.multiply(x.data, cdf, out=None if x.requires_grad else cdf)
+    # the backward needs cdf; with no node recorded, the product may
+    # overwrite it
+    data = np.multiply(x.data, cdf, out=None if _recording((x,)) else cdf)
     return _track(data, (x,), lambda g: (_gelu_grad(g, x.data, cdf),))
 
 
@@ -861,10 +862,10 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
         cdf = _gelu_cdf(y)
         data = np.multiply(y, cdf)
     else:
-        # per location, so it splits by rows anywhere
+        # per location, so any cut keeps its bits
         parallel.split(partial(_bias_ln_gelu, bias=bias.data,
                                gamma=gamma.data, beta=beta.data, eps=eps),
-                       c, axis=2, at=c.shape[2] // 2)
+                       c, axis=2)
         data = c
     if where is not None:
         data = _stem_scatter(data, where, shape)
@@ -931,11 +932,12 @@ def kl_div(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
     # each input's derivative without the vjp's factor g, each quotient
     # in one buffer (as expressions, they made a train step's memory peak)
     dp = dq = None
-    if p.requires_grad:
+    keep = _recording((p, q))
+    if keep and p.requires_grad:
         pe = np.add(p.data, eps)
         lr += np.divide(p.data, pe, out=pe)
         dp = lr
-    if q.requires_grad:
+    if keep and q.requires_grad:
         dq = np.add(q.data, eps)
         np.negative(np.divide(p.data, dq, out=dq), out=dq)
     return _track(val, (p, q), lambda g: (None if d is None else g * d
@@ -1059,8 +1061,9 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     sf /= e                                # 1 - sigmoid(t)
     sfg = np.power(sf, gamma, out=e)
     data = np.empty_like(s)
-    # logits without a gradient never record, and need no derivative
-    if logits.requires_grad:
+    # with no node recorded, no derivative is needed
+    keep = _recording((logits,))
+    if keep:
         # sf is needed only as sf/(st+eps); data is the scratch for st+eps
         np.divide(sf, np.add(st, eps, out=data), out=sf)
     np.multiply(yf, 1.0 - 2.0 * alpha, out=data)
@@ -1068,7 +1071,7 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     data *= sfg
     data *= logt
     d = None
-    if logits.requires_grad:
+    if keep:
         # dL/dt = w*st*sfg*(gamma*logt - sf/(st+eps)); sign*w = y+alpha-1
         d = np.multiply(logt, gamma, out=logt)
         d -= sf

@@ -110,9 +110,10 @@ class AdamState:
 
     @classmethod
     def load(cls, path, model: TideModel) -> "AdamState":
-        """Read a state save() wrote. A file np.load cannot read raises
-        CheckpointError naming the path; entries that do not match the
-        model's parameters raise ValueError."""
+        """Read a state save() wrote. A file np.load cannot read, or a
+        NaN or infinite moment, raises CheckpointError naming the path;
+        entries that do not match the model's parameters raise
+        ValueError."""
         try:
             with np.load(path) as npz:
                 data = dict(npz)
@@ -134,6 +135,9 @@ class AdamState:
                                  f"{value.shape}, expected "
                                  f"{target[name].shape}")
             target[name] = value.astype(target[name].dtype)
+            if not np.isfinite(target[name]).all():
+                raise CheckpointError(f"{path}: optimizer entry {key!r} has "
+                                      f"non-finite values")
         missing = (expected | set(counters)) - set(data)
         if missing:
             raise ValueError(f"optimizer state missing {sorted(missing)[0]!r}")
@@ -286,9 +290,12 @@ def save_dataset(dataset: SequenceDataset, out_dir) -> None:
 
 def load_dataset(data_dir) -> SequenceDataset:
     manifest = os.path.join(data_dir, MANIFEST_NAME)
-    with open(manifest, encoding="utf-8") as fh:
-        rows = [(i, line.split()) for i, line in enumerate(fh, 1)
-                if line.strip()]
+    try:
+        with open(manifest, encoding="utf-8") as fh:
+            rows = [(i, line.split()) for i, line in enumerate(fh, 1)
+                    if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{manifest}: not UTF-8 text ({exc})") from exc
     xs, ys = [], []
     bin_duration = DEFAULT_BIN_US
     for line, row in rows:
@@ -430,8 +437,7 @@ def predict(model: TideModel, x: np.ndarray) -> np.ndarray:
         x = x[None]
     with parallel.two_cores():
         logits = model.forward(Tensor(x.astype(model.dtype)), training=False)
-        return parallel.split(ops.sigmoid, logits, axis=3,
-                              at=logits.shape[3] // 2).data
+        return parallel.split(ops.sigmoid, logits, axis=3).data
 
 
 def persistence_forecast(x: np.ndarray, t_out: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Small shared helpers: atomic file writes, the binary-array check, a
-one-thread BLAS scope and the key=value config codec.
+"""Small shared helpers: atomic file writes, the binary-array check and
+the key=value config codec.
 
 Config text is one `key=value` per line in dataclass field order. Blank
 lines and lines starting with `#` are skipped. A nested dataclass field
@@ -11,12 +11,8 @@ case. A key given twice is rejected.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import os
 import tempfile
-import threading
 from dataclasses import fields, is_dataclass
 from typing import get_type_hints
 
@@ -51,84 +47,6 @@ def is_binary(arr: np.ndarray) -> bool:
     if arr.dtype.kind in "ub":
         return arr.size == 0 or bool(arr.max() <= 1)
     return bool(np.all((arr == 0) | (arr == 1)))
-
-
-# Thread-count entry points of OpenBLAS builds: SciPy's wheels rename them
-# with a prefix, and 64-bit-integer builds append a suffix.
-_OPENBLAS_PREFIXES = ("scipy_openblas_", "openblas_")
-_OPENBLAS_SUFFIXES = ("64_", "")
-
-
-def _openblas_libraries() -> list:
-    """Every OpenBLAS library mapped into this process, opened with ctypes
-    (empty where /proc/self/maps cannot be read)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh
-                     if "openblas" in line.lower() and "/" in line}
-    except OSError:
-        return []
-    return [ctypes.CDLL(path) for path in sorted(paths)]
-
-
-def _thread_count_functions(lib):
-    """(get, set) of lib's OpenBLAS thread count, or None if lib exports
-    no such pair under a known name."""
-    for prefix in _OPENBLAS_PREFIXES:
-        for suffix in _OPENBLAS_SUFFIXES:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    return None
-
-
-@functools.cache
-def _blas_controls() -> list:
-    """(get, set) of every OpenBLAS loaded when first asked, looked up once
-    per process: reading /proc/self/maps costs about 0.6 ms."""
-    return [f for f in map(_thread_count_functions, _openblas_libraries())
-            if f is not None]
-
-
-_blas_lock = threading.Lock()
-_blas_depth = 0          # single_blas_thread scopes open, on any thread
-_blas_before: list = []  # (set, count) to restore when the last one exits
-
-
-@contextlib.contextmanager
-def single_blas_thread():
-    """Run the body with every loaded OpenBLAS (NumPy's among them) at one
-    thread; yields True for the scope that pinned it. Where no OpenBLAS
-    is found this does nothing.
-
-    For callers that run their own threads: at one thread per call, two
-    threads' BLAS calls run side by side instead of queueing for one pool.
-    etide's forecasts and scores hold their bits at one and at two BLAS
-    threads (the CLI tests compare both). Scopes nest and may overlap on
-    several threads: a process-wide count, under a lock, lets the first
-    scope to enter pin the count and the last to exit restore it, also
-    when its body raises. Only the first yields True: parallel.two_cores
-    lets split points use its helper only under that scope."""
-    global _blas_depth, _blas_before
-    with _blas_lock:
-        first = _blas_depth == 0
-        if first:
-            controls = _blas_controls()
-            _blas_before = [(set_, get()) for get, set_ in controls]
-            for set_, _ in _blas_before:
-                set_(1)
-        _blas_depth += 1
-    try:
-        yield first
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                for set_, count in _blas_before:
-                    set_(count)
 
 
 def config_to_text(cfg) -> str:

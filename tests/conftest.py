@@ -1,16 +1,32 @@
-"""Checks that every test leaves the process as it found it."""
+"""Checks that every test leaves the process as it found it, and shared
+test helpers."""
 
+import contextlib
 import threading
 
 import numpy as np
 import pytest
 
-from etide import util
 from etide.numerics import active_tape, parallel
 
 
 def blas_thread_counts():
-    return [get() for get, _ in util._blas_controls()]
+    return [get() for get, _ in parallel._blas_controls()]
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS at one thread for the body, and no two-core
+    scope: the serial forward at one BLAS thread."""
+    controls = parallel._blas_controls()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
 
 
 def assert_mutations_rejected(path, raw, header, read, error, seed):
@@ -42,7 +58,8 @@ def process_state_restored():
     counts = blas_thread_counts()
     yield
     assert blas_thread_counts() == counts, "OpenBLAS thread count changed"
-    assert parallel._owner is None, "a two-core scope is still open"
+    assert parallel._owner is None and parallel._depth == 0, (
+        "a two-core scope is still open")
     assert active_tape() is None, "a tape is still open"
     stray = [t.name for t in threading.enumerate()
              if t is not threading.main_thread()

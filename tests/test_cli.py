@@ -201,14 +201,15 @@ class TestTrain:
                      "--out", str(out)]) == 0
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()
                   if f.is_file()}
-        # a NaN weight would not load, so the NaN is in Adam's first
-        # moment: the first step of epoch 2 writes it into the weight
+        # a NaN weight or moment would not load, so Adam's first moment
+        # holds the largest float32: the first step of epoch 2 divides it
+        # by 1 - beta1^t < 1, and the weight turns infinite
         bad = tmp_path / "bad" / "poisoned.etw"
         bad.parent.mkdir()
         bad.write_bytes(before["model.etw"])
         with np.load(str(out) + ".opt.npz") as npz:
             state = dict(npz)
-        state["m:dec1.conv.w"][0, 0, 1, 1] = np.nan
+        state["m:dec1.conv.w"][0, 0, 1, 1] = np.finfo(np.float32).max
         np.savez(str(bad) + ".opt.npz", **state)
         capsys.readouterr()
         cfg2 = write_train_config(tmp_path / "cfg2.txt", epochs=2)
@@ -236,6 +237,36 @@ class TestTrain:
                      "--resume", str(out)]) == 3
         assert f"{sidecar}: unreadable optimizer state" in (
             capsys.readouterr().err)
+
+    def test_nonfinite_optimizer_state_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, 4)) == 0
+        cfg = write_train_config(tmp_path / "cfg.txt")
+        out = tmp_path / "model.etw"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        sidecar = tmp_path / "model.etw.opt.npz"
+        with np.load(sidecar) as npz:
+            state = dict(npz)
+        state["v:dec1.conv.w"][0, 0, 1, 1] = np.nan
+        np.savez(sidecar, **state)
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "again.etw"),
+                     "--resume", str(out)]) == 3
+        assert (f"{sidecar}: optimizer entry 'v:dec1.conv.w' has non-finite"
+                in capsys.readouterr().err)
+
+    def test_non_utf8_manifest_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(synth_args(data, 2)) == 0
+        manifest = data / training.MANIFEST_NAME
+        manifest.write_bytes(manifest.read_bytes() + b"\xff\xfe bad\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--config",
+                     str(write_train_config(tmp_path / "cfg.txt")),
+                     "--out", str(tmp_path / "m.etw")]) == 3
+        assert f"{manifest}: not UTF-8 text" in capsys.readouterr().err
 
     def test_malformed_manifest_row_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,4 +1,5 @@
-"""The two-core forecast: predict's split points against the serial forward.
+"""The two-core forecast: predict's split points against the serial forward,
+and the two_cores() scope that pins OpenBLAS.
 
 predict() hands half of each split point to one helper thread at every
 batch. Its output must be byte-identical to model.forward + ops.sigmoid at
@@ -7,18 +8,22 @@ under a tape on its thread, must stay serial.
 """
 
 import contextlib
+import os
+import re
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
 
-from etide import training, util
+import etide
+from etide import training
 from etide.model import ModelConfig, init_params
 from etide.numerics import Tape, Tensor, ops, parallel
 from etide.training import make_moving_bar_dataset, predict, rollout_eval
 
-from conftest import blas_thread_counts
+from conftest import blas_thread_counts, one_blas_thread
 
 CONFIGS = {
     "full": dict(),
@@ -38,13 +43,13 @@ CONFIGS = {
 def submitted(monkeypatch):
     """The names of the functions handed to the helper thread, in order."""
     calls = []
-    executor = parallel._executor()
+    executor = parallel._helper
 
     class Recording:
         def submit(self, fn):
             calls.append(fn.func.__name__)
             return executor.submit(fn)
-    monkeypatch.setattr(parallel, "_executor", Recording)
+    monkeypatch.setattr(parallel, "_helper", Recording())
     return calls
 
 
@@ -70,7 +75,7 @@ def test_predict_bytes_match_the_serial_forward(name, submitted):
         assert submitted, "predict split nothing"
         submitted.clear()
         want_blas = serial(model, x)  # OpenBLAS at its own count
-        with util.single_blas_thread():
+        with one_blas_thread():
             want_one = serial(model, x)
         assert not submitted
         assert got.tobytes() == want_blas.tobytes(), (name, kind)
@@ -187,7 +192,7 @@ def test_batches_split_like_batch_one(submitted):
     assert submitted == one_window
     submitted.clear()
     want_blas = ops.sigmoid(model.forward(Tensor(pair.astype(np.float32))))
-    with util.single_blas_thread():
+    with one_blas_thread():
         want_one = ops.sigmoid(model.forward(
             Tensor(pair.astype(np.float32))))
     assert not submitted
@@ -257,9 +262,201 @@ def test_split_points_inline_outside_predict(submitted):
     assert submitted == []
 
 
+# The cut each split point took when its caller chose it, in call order:
+# the encoder's frames (the half of B * t_in), each block's tail, each
+# decoder stage's bias -> LN -> GELU rows, the head and the sigmoid.
+CUTS = {
+    "full": lambda b: [5 * b] + [16] * 4 + [32, 64, 64, 64],
+    "learning-check": lambda b: [5 * b] + [16] * 2 + [32, 64, 64, 64],
+    "64x64": lambda b: [5 * b] + [8] * 4 + [16, 32, 32, 32],
+}
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("name", CUTS)
+def test_split_points_keep_their_cuts(name, batch, monkeypatch):
+    cfg = ModelConfig(**CONFIGS[name])
+    cuts, cut = [], parallel._cut
+
+    def recording(shape, axis):
+        cuts.append(cut(shape, axis))
+        return cuts[-1]
+    monkeypatch.setattr(parallel, "_cut", recording)
+    x = make_moving_bar_dataset(batch, height=cfg.height, width=cfg.width,
+                                t_in=cfg.t_in, t_out=cfg.t_out,
+                                seed=3).inputs
+    predict(init_params(cfg, seed=3), x)
+    assert cuts == CUTS[name](batch)
+
+
 @pytest.mark.parametrize("height,width,at", [
     (32, 32, 16), (128, 128, 64), (16, 16, 8), (8, 8, 4), (4, 4, 0),
     (5, 5, 0), (64, 2, 32), (6, 8, 2), (1, 64, 0)])
-def test_group_rows(height, width, at):
-    assert parallel.group_rows(height, width) == at
+def test_cut_of_a_plane_by_rows(height, width, at):
+    assert parallel._cut((2, 3, height, width), axis=2) == at
     assert at * width % parallel.GEMM_COLUMN_GROUP == 0
+
+
+@pytest.mark.parametrize("shape,axis,at", [
+    ((10, 2, 128, 128), 0, 5),   # the encoder's frames: the half
+    ((3, 2, 20, 20), 0, 1),
+    ((5, 2, 5, 5), 0, 0),        # 2 frames would be 100 columns
+    ((1, 10, 2, 20, 20), 3, 8),  # sigmoid rows, 20 columns each
+    ((1, 48, 136, 1), 2, 64),    # the sparse stem's column block
+    ((1, 48, 16, 1), 2, 0),
+    ((0, 4), 0, 0)])
+def test_cut_along_any_axis(shape, axis, at):
+    assert parallel._cut(shape, axis) == at
+    assert at * int(np.prod(shape[axis + 1:])) % (
+        parallel.GEMM_COLUMN_GROUP) == 0
+
+
+def test_only_parallel_runs_threads_or_sets_blas_threads():
+    root = os.path.dirname(etide.__file__)
+    found = set()
+    for folder, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(folder, name)
+            if name.endswith(".py") and re.search(
+                    r"ThreadPoolExecutor|threading\.Thread\(|set_num_threads",
+                    open(path, encoding="utf-8").read()):
+                found.add(os.path.relpath(path, root))
+    assert found == {os.path.join("numerics", "parallel.py")}
+
+
+class TestTwoCores:
+    def fake_library(self, count):
+        """A library exporting OpenBLAS's thread-count pair over a list."""
+        def get():
+            return count[0]
+
+        def set_(n):
+            count[0] = n
+        return types.SimpleNamespace(openblas_get_num_threads64_=get,
+                                     openblas_set_num_threads64_=set_)
+
+    def use_fake(self, monkeypatch, count):
+        lib = self.fake_library(count)
+        monkeypatch.setattr(parallel, "_blas_controls",
+                            lambda: [parallel._thread_count_functions(lib)])
+
+    def test_pins_one_thread_and_restores_after_an_error(self, monkeypatch):
+        count = [4]
+        self.use_fake(monkeypatch, count)
+        with pytest.raises(RuntimeError, match="inside"):
+            with parallel.two_cores():
+                assert count == [1]
+                raise RuntimeError("inside")
+        assert count == [4]
+
+    def test_no_op_without_an_openblas_symbol(self, monkeypatch):
+        # a library that exports neither entry point under any known name
+        monkeypatch.setattr(parallel, "_openblas_libraries",
+                            lambda: [types.SimpleNamespace()])
+        parallel._blas_controls.cache_clear()
+        try:
+            ran = []
+            with parallel.two_cores():
+                ran.append(True)
+            assert ran == [True]
+        finally:
+            monkeypatch.undo()
+            parallel._blas_controls.cache_clear()
+
+    def test_libraries_resolved_once(self, monkeypatch):
+        calls = []
+
+        def libraries():
+            calls.append(1)
+            return []
+        monkeypatch.setattr(parallel, "_openblas_libraries", libraries)
+        parallel._blas_controls.cache_clear()
+        try:
+            for _ in range(3):
+                with parallel.two_cores():
+                    pass
+            assert calls == [1]
+        finally:
+            monkeypatch.undo()
+            parallel._blas_controls.cache_clear()
+
+    def test_nested_scopes_restore_once(self, monkeypatch):
+        count = [4]
+        self.use_fake(monkeypatch, count)
+        me = threading.get_ident()
+        with parallel.two_cores():
+            with parallel.two_cores():
+                assert count == [1] and parallel._owner == me
+            assert count == [1] and parallel._owner == me
+        assert count == [4] and parallel._owner is None
+
+    def test_overlapping_scopes_on_two_threads(self, monkeypatch):
+        # A enters, B enters, A exits, B exits: the count B saw on entry
+        # was A's 1, A owned the helper until it exited, and the original
+        # 4 must come back all the same
+        count = [4]
+        self.use_fake(monkeypatch, count)
+        b_entered, a_exited = threading.Event(), threading.Event()
+        seen = []
+
+        def scope_b():
+            with parallel.two_cores():
+                seen.append(parallel._owner)
+                b_entered.set()
+                a_exited.wait(10)
+                seen.extend([parallel._owner, count[0]])
+
+        thread = threading.Thread(target=scope_b)
+        with parallel.two_cores():
+            thread.start()
+            assert b_entered.wait(10)
+        a_exited.set()
+        thread.join(10)
+        assert seen == [threading.get_ident(), None, 1] and count == [4]
+
+    def test_scopes_on_many_threads(self, monkeypatch):
+        # more threads than cores, switching often: every body sees one
+        # thread, exactly one scope at a time owned it, and the count
+        # comes back at the end
+        count = [4]
+        self.use_fake(monkeypatch, count)
+        seen, owners, lock = set(), [0, 0], threading.Lock()
+
+        def work():
+            for _ in range(200):
+                with parallel.two_cores():
+                    seen.add(count[0])
+                    mine = parallel._owner == threading.get_ident()
+                    with lock:  # [scopes now owning, most seen at once]
+                        owners[0] += mine
+                        owners[1] = max(owners)
+                    with lock:
+                        owners[0] -= mine
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {1} and count == [4] and owners == [0, 1]
+        assert parallel._depth == 0
+
+    def test_loaded_openblas_restored(self):
+        def counts():  # looked up afresh, not through the cached controls
+            return [get() for get, _ in filter(None, map(
+                parallel._thread_count_functions,
+                parallel._openblas_libraries()))]
+        before = counts()
+        if not before:
+            pytest.skip("no OpenBLAS with a thread-count entry point loaded")
+        with pytest.raises(RuntimeError):
+            with parallel.two_cores():
+                assert counts() == [1] * len(before)
+                raise RuntimeError
+        assert counts() == before

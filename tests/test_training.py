@@ -12,10 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from etide import training, util
+from etide import training
 from etide.losses import LossConfig
 from etide.metrics import MetricAccumulator, binarize, score_sequence
-from etide.model import ModelConfig, init_params, load_checkpoint
+from etide.model import (CheckpointError, ModelConfig, init_params,
+                         load_checkpoint)
 from etide.numerics import Tape, Tensor, parallel
 from etide.numerics.tensor import Parameter
 from etide.training import (AdamState, SequenceDataset, TrainConfig,
@@ -44,7 +45,7 @@ def adam_oracle(x0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 def blas_thread_counts():
     return [get() for get, _ in filter(None, map(
-        util._thread_count_functions, util._openblas_libraries()))]
+        parallel._thread_count_functions, parallel._openblas_libraries()))]
 
 
 def tiny_model_cfg(**overrides):
@@ -146,6 +147,23 @@ class TestAdam:
         del arrays[key]
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"missing '{key}'"):
+            AdamState.load(path, model)
+
+    @pytest.mark.parametrize("key,value", [("m:head.b", np.nan),
+                                           ("v:enc0.conv.w", np.inf),
+                                           ("m:head.w", -np.inf)])
+    def test_state_nonfinite_entry_raises_checkpoint_error(self, tmp_path,
+                                                           key, value):
+        model = init_params(tiny_model_cfg(), seed=0)
+        path = tmp_path / "state.opt.npz"
+        AdamState(model).save(path)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        arrays[key].flat[-1] = value
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError,
+                           match=f"{path}: optimizer entry '{key}' has "
+                                 f"non-finite values"):
             AdamState.load(path, model)
 
 
@@ -500,24 +518,24 @@ class TestBenchmark:
         assert out["n_params"] == sum(p.data.size
                                       for p in model.parameters())
 
-    def test_traced_peak_matches_tracemalloc(self):
+    def test_traced_peak_matches_tracemalloc(self, monkeypatch):
         # the reported peak is that of one predict() on the timed input;
         # measured here around such a call it agrees within 10%. Both run
-        # inside a BLAS scope, where predict is serial: on two threads its
-        # peak depends on how their allocations happen to overlap
+        # serial, with no split point using the helper: on two threads
+        # the peak depends on how their allocations happen to overlap
+        monkeypatch.setattr(parallel, "_splits", lambda: False)
         cfg = tiny_model_cfg(height=32, width=32)
         model = init_params(cfg, seed=0)
         x = (np.random.default_rng(0).random((1, cfg.t_in, 2, 32, 32))
              < 0.25)
-        with util.single_blas_thread():
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                predict(model, x)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            got = benchmark(model, iters=2, warmup=1)["traced_peak_bytes"]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predict(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        got = benchmark(model, iters=2, warmup=1)["traced_peak_bytes"]
         assert abs(got - peak) <= 0.1 * peak, (got, peak)
         assert not tracemalloc.is_tracing()
 

@@ -1,17 +1,11 @@
-"""Config codec tests: pinned bytes, round-trips, and rejected input;
-and the one-thread BLAS scope."""
-
-import sys
-import threading
-import types
+"""Config codec tests: pinned bytes, round-trips, and rejected input."""
 
 import pytest
 
-from etide import util
 from etide.losses import LossConfig
 from etide.model import ModelConfig
 from etide.training import TrainConfig
-from etide.util import config_from_text, config_to_text, single_blas_thread
+from etide.util import config_from_text, config_to_text
 
 # The ETW1 checkpoint config block of the default model. Checkpoints written
 # by earlier versions carry these bytes, and checkpoint hashes depend on them.
@@ -110,139 +104,3 @@ class TestConfigCodec:
     def test_rejected_lines(self, text, match):
         with pytest.raises(ValueError, match=match):
             config_from_text(TrainConfig, text)
-
-
-def blas_thread_counts():
-    return [get() for get, _ in filter(None, map(
-        util._thread_count_functions, util._openblas_libraries()))]
-
-
-class TestSingleBlasThread:
-    def fake_library(self, count):
-        """A library exporting OpenBLAS's thread-count pair over a list."""
-        def get():
-            return count[0]
-
-        def set_(n):
-            count[0] = n
-        return types.SimpleNamespace(openblas_get_num_threads64_=get,
-                                     openblas_set_num_threads64_=set_)
-
-    def use_fake(self, monkeypatch, count):
-        lib = self.fake_library(count)
-        monkeypatch.setattr(util, "_blas_controls",
-                            lambda: [util._thread_count_functions(lib)])
-
-    def test_pins_one_thread_and_restores_after_an_error(self, monkeypatch):
-        count = [4]
-        self.use_fake(monkeypatch, count)
-        with pytest.raises(RuntimeError, match="inside"):
-            with single_blas_thread():
-                assert count == [1]
-                raise RuntimeError("inside")
-        assert count == [4]
-
-    def test_no_op_without_an_openblas_symbol(self, monkeypatch):
-        # a library that exports neither entry point under any known name
-        monkeypatch.setattr(util, "_openblas_libraries",
-                            lambda: [types.SimpleNamespace()])
-        util._blas_controls.cache_clear()
-        try:
-            ran = []
-            with single_blas_thread():
-                ran.append(True)
-            assert ran == [True]
-        finally:
-            monkeypatch.undo()
-            util._blas_controls.cache_clear()
-
-    def test_libraries_resolved_once(self, monkeypatch):
-        calls = []
-
-        def libraries():
-            calls.append(1)
-            return []
-        monkeypatch.setattr(util, "_openblas_libraries", libraries)
-        util._blas_controls.cache_clear()
-        try:
-            for _ in range(3):
-                with single_blas_thread():
-                    pass
-            assert calls == [1]
-        finally:
-            monkeypatch.undo()
-            util._blas_controls.cache_clear()
-
-    def test_nested_scopes_restore_once(self, monkeypatch):
-        count = [4]
-        self.use_fake(monkeypatch, count)
-        with single_blas_thread() as outer:
-            with single_blas_thread() as inner:
-                assert count == [1]
-            assert count == [1]
-        assert (outer, inner, count) == (True, False, [4])
-
-    def test_overlapping_scopes_on_two_threads(self, monkeypatch):
-        # A enters, B enters, A exits, B exits: the count B saw on entry
-        # was A's 1, and the original 4 must come back all the same
-        count = [4]
-        self.use_fake(monkeypatch, count)
-        b_entered, a_exited = threading.Event(), threading.Event()
-        seen = []
-
-        def scope_b():
-            with single_blas_thread() as first:
-                seen.append(first)
-                b_entered.set()
-                a_exited.wait(10)
-                seen.append(count[0])
-
-        thread = threading.Thread(target=scope_b)
-        with single_blas_thread():
-            thread.start()
-            assert b_entered.wait(10)
-        a_exited.set()
-        thread.join(10)
-        assert seen == [False, 1] and count == [4]
-
-    def test_scopes_on_many_threads(self, monkeypatch):
-        # more threads than cores, switching often: every body sees one
-        # thread, exactly one scope at a time pinned it, and the count
-        # comes back at the end
-        count = [4]
-        self.use_fake(monkeypatch, count)
-        seen, pinned, lock = set(), [0, 0], threading.Lock()
-
-        def work():
-            for _ in range(200):
-                with single_blas_thread() as first:
-                    seen.add(count[0])
-                    with lock:  # [scopes now holding the pin, most seen]
-                        pinned[0] += first
-                        pinned[1] = max(pinned)
-                    with lock:
-                        pinned[0] -= first
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert seen == {1} and count == [4] and pinned == [0, 1]
-        assert util._blas_depth == 0
-
-    def test_loaded_openblas_restored(self):
-        before = blas_thread_counts()
-        if not before:
-            pytest.skip("no OpenBLAS with a thread-count entry point loaded")
-        with pytest.raises(RuntimeError):
-            with single_blas_thread():
-                assert blas_thread_counts() == [1] * len(before)
-                raise RuntimeError
-        assert blas_thread_counts() == before
