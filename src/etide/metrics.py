@@ -118,7 +118,8 @@ def _gaussian_mean(img: np.ndarray) -> np.ndarray:
     return along_w @ _SSIM_GAUSS
 
 
-def _check_window(shape: tuple[int, ...]) -> None:
+def check_window(shape: tuple[int, ...]) -> None:
+    """Raise ValueError unless an image of this shape fits SSIM's window."""
     if min(shape) < _SSIM_WINDOW:
         raise ValueError(
             f"image {shape} smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
@@ -143,7 +144,7 @@ def ssim(x: np.ndarray, y: np.ndarray, mu_x: np.ndarray | None = None,
     x, y = np.asarray(x), np.asarray(y)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError(f"expected matching 2D images, got {x.shape} vs {y.shape}")
-    _check_window(x.shape)
+    check_window(x.shape)
     # tested before the cast: one pass over a uint8 image
     x_binary, y_binary = is_binary(x), is_binary(y)
     x = x.astype(np.float64, copy=False)
@@ -246,7 +247,7 @@ def score_sequence(probs: np.ndarray, gt: np.ndarray,
     persistence = np.asarray(persistence)
     _check_binary_pair(persistence, gt)
     _check_probs(probs, gt)
-    _check_window(gt.shape[2:])
+    check_window(gt.shape[2:])
     g = gt.astype(bool)
     g_any = g.any(axis=1)
 

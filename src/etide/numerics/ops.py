@@ -39,9 +39,14 @@ near 70% active. Above 50% active, or when an output plane is not a whole
 number of GEMM column groups, the GEMM runs on the whole matrix instead.
 
 Every other stage (enc1, and the decoder with upsample=True) runs conv2d's
-kernel densely. Every route then adds the bias into the conv buffer and
-centres it in place for LN, and the tape keeps no conv output; with no tape
-recording, GELU's result lands in that buffer too.
+kernel densely. Every route then runs one epilogue, _bias_ln_gelu: it adds
+the bias into the conv buffer and centres it in place for LN, so the tape
+keeps no conv output; with no tape recording, GELU's result lands in that
+buffer too. Under a tape it keeps what the backward reads (LN's xn and
+1/std, the LN output, GELU's cdf). On the sparse stem these stay compact,
+one column per active location plus the background; the forward scatters
+only the output to full size, and the stem's backward scatters the rest
+when it runs.
 
 The sub-pixel conv computes its parity rows a = 0 and a = 1 through
 parallel.both, each the same GEMM calls as the serial loop, and a stage's
@@ -265,23 +270,6 @@ def _conv_geometry(h: int, w: int, k: int, stride: int, padding: int,
     return h_out, w_out
 
 
-def _pad2d(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
-def _unpad2d(xp: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return xp
-    return xp[:, :, padding:-padding, padding:-padding]
-
-
-def _tap(xp: np.ndarray, i: int, j: int, stride: int, h_out: int, w_out: int):
-    return xp[:, :, i:i + stride * (h_out - 1) + 1:stride,
-              j:j + stride * (w_out - 1) + 1:stride]
-
-
 # Per-tap GEMMs on the flattened padded input, at any stride s. The padded
 # [Hp, Wp] plane is split into its s*s stride phases xp[a::s, e::s], each
 # zero-filled to Hq x Wq = ceil(Hp/s) x ceil(Wp/s) with its rows laid end to
@@ -434,13 +422,24 @@ def _flat_conv_grads(g, xd, wd, stride, padding, need_dx, need_dw):
 # results: im2col at enc1 (32 -> 8) shifted the Otsu mask count of a
 # full-config forecast by more than 1% on one benchmark seed.
 
-def _im2col(xd, k, stride, padding, h_out, w_out) -> np.ndarray:
-    xp = _pad2d(xd, padding)
-    b_, cin = xd.shape[:2]
-    cols = np.empty((b_, cin, k, k, h_out, w_out), dtype=xd.dtype)
+def _im2col_windows(planes, k, stride, h_out, w_out):
+    """(i, j, view) for every tap (i, j): the [B, Cin, h_out, w_out] view of
+    the stride phases `planes` (_phase_planes) that the tap reads at each
+    output location, all in phase (i % s, j % s)."""
+    s = stride
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j] = _tap(xp, i, j, stride, h_out, w_out)
+            yield i, j, planes[:, :, i % s, j % s, i // s:i // s + h_out,
+                               j // s:j // s + w_out]
+
+
+def _im2col(xd, k, stride, padding, h_out, w_out) -> np.ndarray:
+    b_, cin, h, w = xd.shape
+    cols = np.empty((b_, cin, k, k, h_out, w_out), dtype=xd.dtype)
+    planes = _phase_planes(_flat_pad(xd, padding, 0, stride)[0], h, w,
+                           padding, stride)
+    for i, j, view in _im2col_windows(planes, k, stride, h_out, w_out):
+        cols[:, :, i, j] = view
     return cols.reshape(b_, cin * k * k, h_out * w_out)
 
 
@@ -464,12 +463,12 @@ def _im2col_conv_grads(g, xd, wd, stride, padding, need_dx, need_dw):
     if need_dx:
         dcols = np.matmul(wd.reshape(cout, -1).T, g2).reshape(
             b_, cin, k, k, h_out, w_out)
-        gxp = np.zeros((b_, cin, h + 2 * padding, w + 2 * padding),
-                       dtype=xd.dtype)
-        for i in range(k):
-            for j in range(k):
-                _tap(gxp, i, j, stride, h_out, w_out)[...] += dcols[:, :, i, j]
-        dx = _unpad2d(gxp, padding)
+        hq, wq = (-(-(n + 2 * padding) // stride) for n in (h, w))
+        dxf = np.zeros((b_, cin, stride * stride, hq * wq), dtype=xd.dtype)
+        planes = _phase_planes(dxf, h, w, padding, stride)
+        for i, j, view in _im2col_windows(planes, k, stride, h_out, w_out):
+            view += dcols[:, :, i, j]
+        dx = _flat_unpad(dxf, h, w, padding, stride)
     return dx, dw
 
 
@@ -728,13 +727,17 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def _bias_ln_gelu(c: np.ndarray, bias: np.ndarray, gamma: np.ndarray,
-                  beta: np.ndarray, eps: float) -> None:
-    """c <- gelu(layer_norm(c + bias)) in place, with the bytes of the three
-    steps and one more buffer, the LN output; GELU's cdf takes LN's xn."""
+                  beta: np.ndarray, eps: float, keep: bool = False):
+    """gelu(layer_norm(c + bias)) with the bytes of the three steps; LN
+    centres c in place into its xn. With keep, returns (output, y, xn,
+    inv, cdf): the output and what the backward reads, y being the LN
+    output and inv 1/std. Without, GELU's cdf and then the output land in
+    c, and y is the one more buffer."""
     c += bias[:, None, None]
-    y, xn, _ = _layer_norm(c, gamma, beta, eps, out=c)
-    cdf = _gelu_cdf(y, out=xn)
-    np.multiply(y, cdf, out=cdf)
+    y, xn, inv = _layer_norm(c, gamma, beta, eps, out=c)
+    cdf = _gelu_cdf(y, out=None if keep else xn)
+    data = np.multiply(y, cdf, out=None if keep else cdf)
+    return (data, y, xn, inv, cdf) if keep else None
 
 
 def _layer_norm_grads(g, xn, inv, gamma, need_dx: bool):
@@ -806,15 +809,14 @@ def _stem_scatter(block: np.ndarray, where: np.ndarray,
                   shape: tuple) -> np.ndarray:
     """[B, C, H, W] array holding column n of block[1, C, Mt, 1] at flat
     location where[n], and column len(where), the background, everywhere
-    else."""
-    m = where.size
-    block = block.reshape(shape[1], -1)
-    out = np.empty((shape[0], shape[1], shape[2] * shape[3]),
-                   dtype=block.dtype)
+    else; shape gives B, H and W, and block its C."""
+    m, c = where.size, block.shape[1]
+    block = block.reshape(c, -1)
+    out = np.empty((shape[0], c, shape[2] * shape[3]), dtype=block.dtype)
     out[...] = block[:, m, None]
     b_idx, p_idx = np.divmod(where, out.shape[2])
     out[b_idx, :, p_idx] = block[:, :m].T
-    return out.reshape(shape)
+    return out.reshape(shape[0], c, *shape[2:])
 
 
 def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
@@ -829,12 +831,14 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
     runs on _stem_columns' selection of them, as a [1, Cout, Mt, 1] block,
     and _stem_scatter gives every other location the background; if not, on
     the whole matrix. Any other stage runs conv2d's kernel. Each route then
-    adds the bias to the conv's buffer, and LN centres it in place; that
-    pays for holding x until the op returns. The tape keeps LN's xn and
-    1/std, the LN output and GELU's cdf, dense in every case, and no conv
-    output; the backward is the three ops'. With no tape recording,
-    _bias_ln_gelu runs in the conv's buffer instead, as a parallel.split
-    by rows.
+    runs _bias_ln_gelu on the conv's buffer as a parallel.split by rows;
+    LN centres it in place, which pays for holding x until the op returns.
+    With no tape recording, GELU's result lands in that buffer too. Under a
+    tape the node keeps LN's xn and 1/std, the LN output and GELU's cdf,
+    and no conv output; on the sparse route these stay [1, C, Mt, 1]
+    blocks, and only the output is scattered to [B, C, H, W] in the
+    forward. The backward is the three ops': it scatters the four blocks
+    when it runs and drops them before the conv's gradients.
     """
     x, weight, conv, grads, (bias, gamma, beta) = _conv_route(
         "conv_ln_gelu", x, weight, stride, padding, 1, upsample, bias=bias,
@@ -856,26 +860,20 @@ def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
         c = c.reshape(shape) if where is None else c[None, :, :, None]
     else:
         c = np.ascontiguousarray(conv(x.data, weight.data))
-    if keep:
-        c += bias.data[:, None, None]
-        y, xn, inv = _layer_norm(c, gamma.data, beta.data, eps, out=c)
-        cdf = _gelu_cdf(y)
-        data = np.multiply(y, cdf)
-    else:
-        # per location, so any cut keeps its bits
-        parallel.split(partial(_bias_ln_gelu, bias=bias.data,
-                               gamma=gamma.data, beta=beta.data, eps=eps),
-                       c, axis=2)
-        data = c
+    # per location, so any cut keeps its bits; a recording tape keeps it
+    # inline, where one call returns what the backward reads
+    data, *saved = parallel.split(partial(
+        _bias_ln_gelu, bias=bias.data, gamma=gamma.data, beta=beta.data,
+        eps=eps, keep=keep), c, axis=2) or (c,)
     if where is not None:
         data = _stem_scatter(data, where, shape)
-        if keep:
-            y, xn, cdf = (_stem_scatter(a, where, shape) for a in (y, xn, cdf))
-            inv = _stem_scatter(inv, where, (shape[0], 1, *shape[2:]))
 
     def vjp(g):
+        y, xn, inv, cdf = (saved if where is None else
+                           (_stem_scatter(a, where, shape) for a in saved))
         gc, dgamma, dbeta = _layer_norm_grads(_gelu_grad(g, y, cdf), xn, inv,
                                               gamma.data, need_dx=True)
+        del y, xn, inv, cdf
         yield from grads(gc, x.data, weight.data, need_dx=x.requires_grad,
                          need_dw=weight.requires_grad)
         yield gc.sum(axis=(0, 2, 3))

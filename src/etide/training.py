@@ -20,7 +20,6 @@ import math
 import os
 import time
 import tracemalloc
-import zipfile
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -30,7 +29,8 @@ from .events import (DEFAULT_BIN_US, FileFormatError, OccurrenceTensor,
                      bin_events, random_bar_scene, read_ocm, synth_scene,
                      write_ocm)
 from .losses import LossConfig, total_loss
-from .metrics import MetricAccumulator, format_record, score_sequence
+from .metrics import (MetricAccumulator, check_window, format_record,
+                      score_sequence)
 from .model import (CheckpointError, ModelConfig, TideModel, count_params,
                     init_params, save_checkpoint)
 from .numerics import Tape, Tensor, ops, parallel
@@ -110,14 +110,16 @@ class AdamState:
 
     @classmethod
     def load(cls, path, model: TideModel) -> "AdamState":
-        """Read a state save() wrote. A file np.load cannot read, or a
-        NaN or infinite moment, raises CheckpointError naming the path;
-        entries that do not match the model's parameters raise
-        ValueError."""
+        """Read a state save() wrote. Any failure to read the file, a
+        moment that is not a real array or holds a NaN or infinity, and a
+        step or epochs_done that is not a non-negative 0-d integer raise
+        CheckpointError; entries that do not match the model's parameters
+        raise ValueError. Each message names the path, and the entry where
+        there is one."""
         try:
             with np.load(path) as npz:
                 data = dict(npz)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        except Exception as exc:  # zipfile and numpy raise many kinds
             raise CheckpointError(
                 f"{path}: unreadable optimizer state ({exc})") from exc
         state = cls(model)
@@ -125,22 +127,31 @@ class AdamState:
         expected = {f"{kind}:{n}" for kind in "mv" for n in state.m}
         for key, value in data.items():
             if key in counters:
+                if value.shape or value.dtype.kind not in "iu" or value < 0:
+                    raise CheckpointError(
+                        f"{path}: optimizer entry {key!r} must be a "
+                        f"non-negative 0-d integer, got {value!r}")
                 continue
             if key not in expected:
-                raise ValueError(f"unexpected optimizer entry {key!r}")
+                raise ValueError(f"{path}: unexpected optimizer entry "
+                                 f"{key!r}")
             kind, _, name = key.partition(":")
             target = state.m if kind == "m" else state.v
             if value.shape != target[name].shape:
-                raise ValueError(f"optimizer entry {key!r} has shape "
+                raise ValueError(f"{path}: optimizer entry {key!r} has shape "
                                  f"{value.shape}, expected "
                                  f"{target[name].shape}")
+            if value.dtype.kind not in "biuf":
+                raise CheckpointError(f"{path}: optimizer entry {key!r} has "
+                                      f"dtype {value.dtype}, not real")
             target[name] = value.astype(target[name].dtype)
             if not np.isfinite(target[name]).all():
                 raise CheckpointError(f"{path}: optimizer entry {key!r} has "
                                       f"non-finite values")
         missing = (expected | set(counters)) - set(data)
         if missing:
-            raise ValueError(f"optimizer state missing {sorted(missing)[0]!r}")
+            raise ValueError(f"{path}: optimizer state missing "
+                             f"{sorted(missing)[0]!r}")
         state.step = int(data["step"])
         state.epochs_done = int(data["epochs_done"])
         return state
@@ -355,14 +366,18 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
     four 128^2 moving-bar sequences of seed 0 gives a norm of 2.3e14, with
     max |grad| 1.0e14 on enc0.conv.b. Epoch 1's grad_norm and any
     grad_clip see this; Adam normalises its step, so training proceeds.
-    Non-finite logits, loss or global gradient norm raise ValueError,
-    naming the epoch, the step and the first bad parameter, before the
-    weights change; no checkpoint is written for that epoch.
+    With a validation split, frames smaller than SSIM's window raise
+    ValueError before the first step. Non-finite logits, loss or global
+    gradient norm raise ValueError, naming the epoch, the step and the
+    first bad parameter, before the weights change; no checkpoint is
+    written for that epoch.
     """
     _check_dataset(dataset, cfg.model)
     if state is None:
         state = AdamState(model)
     train_idx, val_idx = split_indices(len(dataset), cfg.val_split)
+    if val_idx:  # fail before the first step, not after an epoch
+        check_window((dataset.height, dataset.width))
     history: list[dict] = []
     params = model.parameters()
 
@@ -453,8 +468,9 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
     Each tau in taus also scores the model's masks at the fixed threshold
     probs >= tau, from the same forecast; those rows are returned in
     order as report["grid"], a list of (tau, scores) pairs. An empty
-    dataset, or one whose windows or frames do not match the model's,
-    raises ValueError; empty indices give the empty report (IoUs and
+    dataset, one whose windows or frames do not match the model's, or
+    one with frames smaller than SSIM's window raises ValueError before
+    the first forecast; empty indices give the empty report (IoUs and
     ssim 1, mse 0).
 
     A two-stage pipeline inside parallel.two_cores(). The first forecast
@@ -467,6 +483,7 @@ def rollout_eval(model: TideModel, dataset: SequenceDataset,
     this path.
     """
     _check_dataset(dataset, model.config)
+    check_window((dataset.height, dataset.width))
     if indices is None:
         indices = range(len(dataset))
     indices = list(indices)
@@ -525,9 +542,14 @@ def estimate_activation_bytes(cfg: ModelConfig, batch: int = 1) -> int:
     """Bytes a recording forward (training=True under a Tape) keeps alive
     until backward, measured with tracemalloc: the input and everything the
     tape holds after one such forward of init_params(cfg, seed=0) on a
-    fixed 25%-dense binary input (the density moves it by under 0.1%).
-    Parameters are left out. At the learning-check config, batch 4, it
-    reads 112.2 MiB."""
+    fixed 25%-dense binary input. Parameters are left out. At the
+    learning-check config, batch 4, it reads 112.2 MiB.
+    That input activates nearly every stem window, so the stem takes its
+    dense route (ops.conv_ln_gelu). A sparse input keeps less wherever the
+    stem takes its sparse route, whose tape holds compact blocks: the
+    first four moving-bar sequences of seed 7 keep 78.5 MiB there.
+    Where the stem runs densely, the density moves the figure by under
+    0.1%."""
     model = init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
     x = rng.random((batch, cfg.t_in, 2, cfg.height, cfg.width)) < 0.25

@@ -257,6 +257,22 @@ class TestTrain:
         assert (f"{sidecar}: optimizer entry 'v:dec1.conv.w' has non-finite"
                 in capsys.readouterr().err)
 
+    def test_validation_below_the_ssim_window_exits_2_first(self, tmp_path,
+                                                            capsys):
+        # 8x8 frames cannot be scored: no epoch runs and nothing is written
+        data = tmp_path / "data"
+        assert main(synth_args(data, 4, size="8x8")) == 0
+        cfg = write_train_config(tmp_path / "cfg.txt", val_split=0.5,
+                                 model=model_cfg(height=8, width=8))
+        out = tmp_path / "run" / "model.etw"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert "smaller than the 11x11 window" in printed.err
+        assert "epoch=" not in printed.out
+        assert not out.parent.exists() or not any(out.parent.iterdir())
+
     def test_non_utf8_manifest_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(synth_args(data, 2)) == 0

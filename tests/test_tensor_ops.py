@@ -856,6 +856,21 @@ class TestSparseStem:
                             ("conv.w", "conv.b", "ln.g", "ln.b"))).data
         assert got.tobytes() == want.tobytes()
 
+    def test_tape_keeps_little_more_than_the_output(self):
+        # between forward and backward the sparse stem's node holds its
+        # dense output and [1, C, Mt, 1] blocks, no dense LN or GELU array
+        x = Tensor(stem_inputs("single", np.float32))
+        params = stem_params(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = ops.conv_ln_gelu(x, *params, stride=2, padding=1)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and live < 1.25 * out.data.nbytes
+
     def test_records_one_node(self):
         w, b, g, be = stem_params(np.float32)
         x = Tensor(stem_inputs("0.02", np.float32))
@@ -1048,14 +1063,13 @@ class TestGradients:
             err = grad_check(fn, params)
             assert err < 1e-5, f"{name} seed {seed}: rel err {err}"
 
-    def test_op_suite_covers_every_op(self, monkeypatch):
-        # a new op cannot land without a case row; quantile_nearest_rank
-        # has no gradient
+    @staticmethod
+    def _recorded_ops(monkeypatch):
+        """(names of ops' public functions, the set a call of each adds its
+        name to), with every one wrapped on ops."""
         names = [name for name, fn in vars(ops).items()
                  if inspect.isfunction(fn) and fn.__module__ == ops.__name__
-                 and not name.startswith("_")
-                 and name != "quantile_nearest_rank"]
-        assert "conv2d" in names and "focal_loss_map" in names
+                 and not name.startswith("_")]
         called = set()
 
         def recorder(name, fn):
@@ -1065,10 +1079,28 @@ class TestGradients:
             return recorded
         for name in names:
             monkeypatch.setattr(ops, name, recorder(name, getattr(ops, name)))
+        return names, called
+
+    def test_op_suite_covers_every_op(self, monkeypatch):
+        # a new op cannot land without a case row; quantile_nearest_rank
+        # has no gradient
+        names, called = self._recorded_ops(monkeypatch)
+        assert "conv2d" in names and "focal_loss_map" in names
         for builder in op_suite_cases().values():
             fn, _ = builder(0)
             fn()
-        assert sorted(set(names) - called) == []
+        assert sorted(set(names) - called) == ["quantile_nearest_rank"]
+
+    def test_op_suite_records_every_op_on_a_tape(self, monkeypatch):
+        # each case once under a tape, so the branches that save backward
+        # state run too; quantile_nearest_rank is constant in the backward
+        names, called = self._recorded_ops(monkeypatch)
+        for builder in op_suite_cases().values():
+            fn, params = builder(0)
+            with Tape() as tape:
+                grads = tape.backward(fn())
+            assert all(p in grads for p in params)
+        assert sorted(set(names) - called) == ["quantile_nearest_rank"]
 
     def test_grad_accumulates_across_uses(self):
         # same tensor consumed twice: gradients must add

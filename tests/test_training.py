@@ -26,6 +26,8 @@ from etide.training import (AdamState, SequenceDataset, TrainConfig,
                             save_dataset, split_indices, train)
 from etide.util import config_from_text
 
+from conftest import assert_mutations_rejected
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -164,6 +166,51 @@ class TestAdam:
         with pytest.raises(CheckpointError,
                            match=f"{path}: optimizer entry '{key}' has "
                                  f"non-finite values"):
+            AdamState.load(path, model)
+
+
+    def test_state_mutations_load_or_raise(self, tmp_path):
+        # zipfile's NotImplementedError (a compression method or an
+        # encryption it lacks) among them
+        model = init_params(tiny_model_cfg(), seed=0)
+        AdamState(model).save(tmp_path / "state.opt.npz")
+        raw = (tmp_path / "state.opt.npz").read_bytes()
+        for seed in (3, 4):
+            assert_mutations_rejected(
+                tmp_path / "mutated.opt.npz", raw, 64,
+                lambda path: AdamState.load(path, model),
+                (CheckpointError, ValueError), seed=seed)
+
+    def test_state_unsupported_compression_raises_checkpoint_error(
+            self, tmp_path):
+        model = init_params(tiny_model_cfg(), seed=0)
+        path = tmp_path / "state.opt.npz"
+        AdamState(model).save(path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"PK\x01\x02") + 10  # an entry's compression method
+        raw[at:at + 2] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError,
+                           match=f"{path}: unreadable optimizer state"):
+            AdamState.load(path, model)
+
+    @pytest.mark.parametrize("key,value", [
+        ("step", np.array([1, 2])), ("epochs_done", np.array(-1)),
+        ("step", np.array(-3)), ("step", np.array(1.5))],
+        ids=["two-element-step", "negative-epochs_done", "negative-step",
+             "fractional-step"])
+    def test_state_bad_counter_raises_checkpoint_error(self, tmp_path, key,
+                                                       value):
+        model = init_params(tiny_model_cfg(), seed=0)
+        path = tmp_path / "state.opt.npz"
+        AdamState(model).save(path)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        arrays[key] = value
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError,
+                           match=f"{path}: optimizer entry '{key}' must be a "
+                                 f"non-negative 0-d integer"):
             AdamState.load(path, model)
 
 
@@ -325,6 +372,23 @@ class TestTrainLoop:
                 model.forward(Tensor(x), training=True), y, cfg.loss))
         assert history[0]["grad_norm"] == grad_norm(model.parameters(), grads)
 
+    def test_validation_below_the_ssim_window_fails_before_a_step(
+            self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(training, "adam_step",
+                            lambda *args, **kwargs: steps.append(args))
+        small = tiny_model_cfg(height=8, width=8)
+        ds = tiny_dataset(4, h=8, w=8)
+        cfg = tiny_train_cfg(val_split=0.5, model=small)
+        with pytest.raises(ValueError, match="smaller than the 11x11 window"):
+            train(init_params(small, seed=0), ds, cfg)
+        assert steps == []
+        monkeypatch.undo()
+        # with no validation, 8x8 frames still train
+        cfg = tiny_train_cfg(epochs=1, val_split=0.0, model=small)
+        _, history = train(init_params(small, seed=0), ds, cfg)
+        assert [r["epoch"] for r in history] == [1]
+
     def test_overfit_single_sample(self):
         cfg = tiny_train_cfg(epochs=50, batch_size=1, lr=3e-3, val_split=0.0,
                              loss=LossConfig(alpha_ddr=0.0))
@@ -449,6 +513,16 @@ class TestEval:
         with pytest.raises(ValueError, match="do not match"):
             rollout_eval(model, make_moving_bar_dataset(
                 1, height=8, width=8, t_in=3, t_out=3, seed=0))
+
+    def test_eval_rejects_frames_below_the_ssim_window_first(self,
+                                                              monkeypatch):
+        forecasts = []
+        monkeypatch.setattr(training, "predict",
+                            lambda *args: forecasts.append(args))
+        model = init_params(tiny_model_cfg(height=8, width=8), seed=0)
+        with pytest.raises(ValueError, match="smaller than the 11x11 window"):
+            rollout_eval(model, tiny_dataset(2, h=8, w=8))
+        assert forecasts == []
 
     def test_eval_deterministic(self):
         ds = tiny_dataset(3)
