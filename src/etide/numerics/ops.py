@@ -239,7 +239,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """x[B,D] @ weight[K,D]^T + bias[K]."""
+    """x[B,D] @ weight[K,D]^T + bias[K].
+
+    The forward is one stacked matmul of [B, 1, D] rows, which NumPy runs
+    as one gemv per row, so each row has the bits of a batch-1 call; a
+    [B, D] matmul would run gemm, which rounds differently."""
     x, weight = as_tensor(x), as_tensor(weight)
     if x.shape[1] != weight.shape[1]:
         raise ShapeError(
@@ -247,7 +251,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None and bias.shape != weight.shape[:1]:
         raise ShapeError(f"linear: bias shape {bias.shape} != out dim "
                          f"({weight.shape[0]},)")
-    data = x.data @ weight.data.T
+    data = (x.data[:, None] @ weight.data.T)[:, 0]
     if bias is not None:
         data = data + bias.data
 

@@ -1,19 +1,24 @@
-"""The forecast on two cores: one persistent helper thread.
+"""Forecasts and training steps on two cores: one persistent helper thread.
 
 Inside two_cores(), every loaded OpenBLAS (NumPy's among them) runs at one
-thread per call, and a split point hands one half of its work to the
-helper thread and computes the other half on the calling thread, so the
-second core does the helper's half instead of spinning between the GEMMs
-of one OpenBLAS pool. training.predict enters two_cores() at every batch.
+thread per call, and both() or a split point hands one half of its work
+to the helper thread and computes the other half on the calling thread,
+so the second core does the helper's half instead of spinning between
+the GEMMs of one OpenBLAS pool. training.predict, training.rollout_eval
+and training.train each enter two_cores(): predict splits the forward at
+its split points; rollout_eval scores one sequence on the helper while
+the next is forecast; train splits each step's batch, not its forward,
+and runs the two parts through both(), each on its own thread and tape.
 
 One rule (_splits) decides when a split point uses the helper: its thread
 opened the two_cores() scope that pinned BLAS, no tape records on that
 thread, and the helper is idle (not running a both() job, as while
-training.rollout_eval scores on it). Any other split point is one inline
-call on the whole input, so the forward has one implementation, and
-training, tapes and every thread but the scope's keep their bits. The bits
-do not depend on the BLAS thread count either (the CLI tests compare one
-and two threads).
+training.rollout_eval scores or a training part runs on it). Any other
+split point is one inline call on the whole input, so the forward has one
+implementation, and a recording forward, such as each part of a training
+step, keeps the serial forward's bits, as does every thread but the
+scope's. The bits do not depend on the BLAS thread count either (the CLI
+tests compare one and two threads).
 
 A split keeps the bits of the inline call only where every element is
 computed by the same float operations in the same order:

@@ -9,8 +9,10 @@ moving-bar task used for desk-scale learning checks.
 
 predict() is the deployed forecast and runs on two cores
 (numerics.parallel): half of each split point on one helper thread, with
-the serial forward's bits. parallel's module docstring states when a
-split point uses the helper and why the bits hold.
+the serial forward's bits. train() runs on two cores too: each step's
+batch in two parts, one on the helper, each with its own tape.
+parallel's module docstring states when a split point uses the helper
+and why the bits hold.
 """
 
 from __future__ import annotations
@@ -349,28 +351,82 @@ def _check_dataset(dataset: SequenceDataset, cfg: ModelConfig) -> None:
             f"model {cfg.height}x{cfg.width}")
 
 
+def _part_step(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
+               epoch: int, step: int, part: np.ndarray, index: int,
+               share: float) -> tuple[np.ndarray, dict]:
+    """Part `index` of a step: its loss, scaled by its share of the batch,
+    and its own tape's gradient map, on the thread that calls it. Its
+    drop-path stream is (seed, epoch, step, index)."""
+    params = model.parameters()
+    x = dataset.inputs[part].astype(np.float32)
+    y = dataset.targets[part]  # uint8: the loss casts it
+    rng = np.random.default_rng([cfg.seed, _DROPPATH_TAG, epoch, step, index])
+    with Tape() as tape:
+        logits = model.forward(Tensor(x), training=True, rng=rng)
+        # before the loss: its KL term rejects non-finite rows itself
+        _check_finite(params, {}, epoch + 1, step + 1, logits=logits.data)
+        loss = ops.scale(total_loss(logits, y, cfg.loss), share)
+        return loss.data, tape.backward(loss)
+
+
+def _step_gradient(model: TideModel, dataset: SequenceDataset,
+                   cfg: TrainConfig, epoch: int, step: int,
+                   batch: np.ndarray) -> tuple[np.ndarray, dict]:
+    """A step's loss and gradient map. The batch is cut at len(batch) // 2
+    and parallel.both() runs part A on the helper and part B here, each
+    on its own tape; the loss is A's plus B's, and so is each gradient,
+    in that order. A batch of 1 is one part (index 0), run here unscaled."""
+    n, cut = len(batch), len(batch) // 2
+    part = partial(_part_step, model, dataset, cfg, epoch, step)
+    if not cut:
+        return part(batch, 0, 1.0)
+    (loss, grads), (loss_b, grads_b) = parallel.both(
+        partial(part, batch[:cut], 0, cut / n),
+        partial(part, batch[cut:], 1, (n - cut) / n))
+    for p, g in grads_b.items():
+        if p in grads:
+            grads[p] += g
+        else:
+            grads[p] = g
+    return loss + loss_b, grads
+
+
 def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
           out_dir=None, state: AdamState | None = None, log=None
           ) -> tuple[TideModel, list[dict]]:
     """Run (or, with a loaded optimizer state, resume) the training loop.
 
-    Epoch-derived random streams make a resumed run replay exactly what the
-    unbroken run would have done from that epoch on. A step's gradients
-    are its own tape's map, freed after Adam. Returns the model and
-    one history record per completed epoch; its grad_norm is the mean over
-    the epoch's steps of the global gradient norm before clipping.
+    The loop runs inside parallel.two_cores(). Each step cuts its batch
+    at len(batch) // 2 into parts A and B, and parallel.both() runs A on
+    the helper thread and B on this one. Each part runs the serial
+    forward on the one model under its own Tape, with its loss scaled by
+    its share of the batch (ops.scale). The step's loss is A's plus B's,
+    and its gradient is A's map plus B's, per parameter and in that order,
+    whichever part ends first. Both loss terms are means over the batch,
+    so these are the batch's loss and gradient up to float32 rounding. A
+    batch of one is one part, on this thread, at share 1. The gradient
+    norm, the finiteness checks, clipping and Adam then run here, and the
+    gradient maps are freed after Adam.
+
+    Epoch-derived random streams make a resumed run replay exactly what
+    the unbroken run would have done from that epoch on: the shuffle comes
+    from (seed, epoch), each part's drop-path masks from (seed, epoch,
+    step, part). Returns the model and one history record per completed
+    epoch; its grad_norm is the mean over the epoch's steps of the global
+    gradient norm before clipping.
     At initialisation that norm is huge. The conv biases start at zero, so
     at every event-free window a stage hands LayerNorm a constant channel
     vector, and LN's backward scales it by 1/sqrt(eps) = 1000 per stage.
-    One batch-4 backward of the learning-check model (seed 0) on the first
+    One batch-4 step of the learning-check model (seed 0) on the first
     four 128^2 moving-bar sequences of seed 0 gives a norm of 2.3e14, with
-    max |grad| 1.0e14 on enc0.conv.b. Epoch 1's grad_norm and any
-    grad_clip see this; Adam normalises its step, so training proceeds.
+    max |grad| 1.0e14 on enc0.conv.b (the same figures with the batch
+    split or not). Epoch 1's grad_norm and any grad_clip see this; Adam
+    normalises its step, so training proceeds.
     With a validation split, frames smaller than SSIM's window raise
-    ValueError before the first step. Non-finite logits, loss or global
-    gradient norm raise ValueError, naming the epoch, the step and the
-    first bad parameter, before the weights change; no checkpoint is
-    written for that epoch.
+    ValueError before the first step. Non-finite logits of either part,
+    a non-finite loss or global gradient norm raise ValueError, naming the
+    epoch, the step and the first bad parameter, before the weights
+    change; no checkpoint is written for that epoch.
     """
     _check_dataset(dataset, cfg.model)
     if state is None:
@@ -381,51 +437,46 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
     history: list[dict] = []
     params = model.parameters()
 
-    for epoch in range(state.epochs_done, cfg.epochs):
-        order = np.random.default_rng(
-            [cfg.seed, _SHUFFLE_TAG, epoch]).permutation(train_idx)
-        loss_sum = norm_sum = 0.0
-        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = order[start:start + cfg.batch_size]
-            x = dataset.inputs[batch].astype(np.float32)
-            y = dataset.targets[batch]  # uint8: the loss casts it
-            droppath_rng = np.random.default_rng(
-                [cfg.seed, _DROPPATH_TAG, epoch, step])
-            with Tape() as tape:
-                logits = model.forward(Tensor(x), training=True,
-                                       rng=droppath_rng)
-                # before the loss: its KL term rejects non-finite rows itself
-                _check_finite(params, {}, epoch + 1, step + 1,
-                              logits=logits.data)
-                loss = total_loss(logits, y, cfg.loss)
-                grads = tape.backward(loss)
-            norm = grad_norm(params, grads)
-            _check_finite(params, grads, epoch + 1, step + 1, loss=loss.data,
-                          gradient_norm=norm)
-            adam_step(params, grads, state, lr=cfg.lr, beta1=cfg.beta1,
-                      beta2=cfg.beta2, eps=cfg.eps, grad_clip=cfg.grad_clip,
-                      norm=norm)
-            del tape, grads  # so they do not live through the next forward
-            loss_sum += loss.item() * len(batch)
-            norm_sum += norm
+    with parallel.two_cores():
+        for epoch in range(state.epochs_done, cfg.epochs):
+            order = np.random.default_rng(
+                [cfg.seed, _SHUFFLE_TAG, epoch]).permutation(train_idx)
+            loss_sum = norm_sum = 0.0
+            for step, start in enumerate(range(0, len(order),
+                                               cfg.batch_size)):
+                batch = order[start:start + cfg.batch_size]
+                loss, grads = _step_gradient(model, dataset, cfg, epoch,
+                                             step, batch)
+                norm = grad_norm(params, grads)
+                _check_finite(params, grads, epoch + 1, step + 1, loss=loss,
+                              gradient_norm=norm)
+                adam_step(params, grads, state, lr=cfg.lr, beta1=cfg.beta1,
+                          beta2=cfg.beta2, eps=cfg.eps,
+                          grad_clip=cfg.grad_clip, norm=norm)
+                del grads  # so it does not live through the next forward
+                loss_sum += float(loss) * len(batch)
+                norm_sum += norm
 
-        state.epochs_done = epoch + 1
-        record = {"epoch": epoch + 1,
-                  "train_loss": loss_sum / len(order),
-                  "grad_norm": norm_sum / (step + 1)}
-        if val_idx:
-            report = rollout_eval(model, dataset, indices=val_idx)
-            record.update({f"val_{k}": v for k, v in report["model"].items()})
-            record.update(
-                {f"baseline_{k}": v for k, v in report["persistence"].items()
-                 if k in ("miou", "aiou")})
-        history.append(record)
-        if log is not None:
-            log(format_record(record))
-        if out_dir is not None and (epoch + 1) % cfg.checkpoint_interval == 0:
-            ckpt = os.path.join(out_dir, f"ckpt_{epoch + 1:04d}.etw")
-            save_checkpoint(ckpt, model)
-            state.save(ckpt + ".opt.npz")
+            state.epochs_done = epoch + 1
+            record = {"epoch": epoch + 1,
+                      "train_loss": loss_sum / len(order),
+                      "grad_norm": norm_sum / (step + 1)}
+            if val_idx:
+                report = rollout_eval(model, dataset, indices=val_idx)
+                record.update(
+                    {f"val_{k}": v for k, v in report["model"].items()})
+                record.update(
+                    {f"baseline_{k}": v
+                     for k, v in report["persistence"].items()
+                     if k in ("miou", "aiou")})
+            history.append(record)
+            if log is not None:
+                log(format_record(record))
+            if (out_dir is not None
+                    and (epoch + 1) % cfg.checkpoint_interval == 0):
+                ckpt = os.path.join(out_dir, f"ckpt_{epoch + 1:04d}.etw")
+                save_checkpoint(ckpt, model)
+                state.save(ckpt + ".opt.npz")
     return model, history
 
 
@@ -441,11 +492,6 @@ def predict(model: TideModel, x: np.ndarray) -> np.ndarray:
     frames, each block's tail, the decoder's parity rows and its bias ->
     LN -> GELU rows, the head and the sigmoid, by rows), under parallel's
     rule. The bits are those of the serial forward at the same batch.
-
-    The last bits depend on the batch: ops.linear runs gemv on one row
-    and gemm on several, so a window's forecast in a batch of two differs
-    from its batch-1 forecast by up to 4.2e-7 (seed 3, moving bars).
-    rollout_eval and `etide predict` forecast at batch 1.
     """
     x = np.asarray(x)
     if x.ndim == 4:

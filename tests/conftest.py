@@ -29,6 +29,20 @@ def one_blas_thread():
             set_(count)
 
 
+@pytest.fixture
+def submitted(monkeypatch):
+    """The names of the functions handed to the helper thread, in order."""
+    calls = []
+    executor = parallel._helper
+
+    class Recording:
+        def submit(self, fn):
+            calls.append(fn.func.__name__)
+            return executor.submit(fn)
+    monkeypatch.setattr(parallel, "_helper", Recording())
+    return calls
+
+
 def assert_mutations_rejected(path, raw, header, read, error, seed):
     """Write 300 seeded mutations of the valid file `raw` to `path`: a
     random byte in the first `header` bytes, a truncation, or a random

@@ -39,20 +39,6 @@ CONFIGS = {
 }
 
 
-@pytest.fixture
-def submitted(monkeypatch):
-    """The names of the functions handed to the helper thread, in order."""
-    calls = []
-    executor = parallel._helper
-
-    class Recording:
-        def submit(self, fn):
-            calls.append(fn.func.__name__)
-            return executor.submit(fn)
-    monkeypatch.setattr(parallel, "_helper", Recording())
-    return calls
-
-
 def inputs(cfg, seed=3):
     x, _ = make_moving_bar_dataset(1, height=cfg.height, width=cfg.width,
                                    t_in=cfg.t_in, t_out=cfg.t_out,
@@ -166,18 +152,25 @@ def test_rollout_eval_of_no_sequence(submitted):
     assert submitted == []
 
 
-@pytest.mark.parametrize("name", ["64x64", "full"])
-def test_batch_changes_only_the_last_bits(name):
-    # ops.linear runs gemv on one row and gemm on several, which round
-    # differently: a window inside a batch is not its batch-1 forecast
+@pytest.mark.parametrize("name", CONFIGS)
+def test_batch_keeps_each_windows_batch_one_bytes(name):
+    # ops.linear multiplies each row as its own batch-1 call, so a window
+    # inside a batch has its batch-1 forecast's bytes, at one and at two
+    # OpenBLAS threads
     cfg = ModelConfig(**CONFIGS[name])
     model = init_params(cfg, seed=3)
     pair = make_moving_bar_dataset(2, height=cfg.height, width=cfg.width,
                                    t_in=cfg.t_in, t_out=cfg.t_out,
                                    seed=3).inputs
-    alone = np.concatenate([predict(model, x) for x in pair])
-    np.testing.assert_allclose(predict(model, pair), alone, rtol=0,
-                               atol=1e-5)
+    batch = np.concatenate([pair, inputs(cfg)["random"][None]])
+    alone = np.concatenate([predict(model, x) for x in batch]).tobytes()
+    assert predict(model, batch).tobytes() == alone
+    want_blas = ops.sigmoid(model.forward(Tensor(batch.astype(np.float32))))
+    with one_blas_thread():
+        want_one = ops.sigmoid(model.forward(
+            Tensor(batch.astype(np.float32))))
+    assert want_blas.data.tobytes() == alone
+    assert want_one.data.tobytes() == alone
 
 
 def test_batches_split_like_batch_one(submitted):

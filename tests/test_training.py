@@ -472,6 +472,124 @@ class TestTrainLoop:
         assert np.isfinite(history[0]["train_loss"])
 
 
+    def test_droppath_resume_matches_unbroken(self, tmp_path):
+        # each part of a step draws from its own (seed, epoch, step, part)
+        # stream, so a resumed run replays the drop-path masks too
+        model_cfg = tiny_model_cfg(droppath_rate=0.2)
+        ds = tiny_dataset(10)
+        cfg2 = tiny_train_cfg(epochs=2, batch_size=4, model=model_cfg)
+        unbroken = init_params(model_cfg, seed=5)
+        _, hist_full = train(unbroken, ds, cfg2)
+
+        cfg1 = tiny_train_cfg(epochs=1, batch_size=4, model=model_cfg)
+        train(init_params(model_cfg, seed=5), ds, cfg1, out_dir=tmp_path)
+        ckpt = tmp_path / "ckpt_0001.etw"
+        resumed = load_checkpoint(ckpt)
+        state = AdamState.load(str(ckpt) + ".opt.npz", resumed)
+        _, hist_tail = train(resumed, ds, cfg2, state=state)
+
+        assert hist_tail == hist_full[1:]
+        for p, q in zip(unbroken.parameters(), resumed.parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), p.name
+
+
+class TestSplitStep:
+    """A step cuts its batch at len // 2 and runs the two parts on the one
+    model, each on its own thread and tape."""
+
+    def test_summed_parts_match_the_unsplit_gradient(self):
+        # At batch 4 each part's loss is scaled by 1/2, a power of two, and
+        # ops.linear gives every window its batch-1 forward, so each
+        # window's gradient reaching the parameters has the unsplit step's
+        # bits. Only the reductions over the batch (the GEMMs and sums of
+        # the parameter gradients) add in another order: float32 rounding
+        # of the terms summed. Over 30 seeds that moved no parameter's
+        # gradient by more than 1.5e-6 of its largest entry.
+        from etide.losses import total_loss
+        cfg = tiny_train_cfg(model=tiny_model_cfg(), batch_size=4)
+        ds = tiny_dataset(8)
+        batch = np.arange(4)
+        for seed in range(3):
+            model = init_params(cfg.model, seed=seed)
+            with parallel.two_cores():
+                loss, grads = training._step_gradient(model, ds, cfg, 0, 0,
+                                                      batch)
+            with Tape() as tape:
+                want_loss = total_loss(model.forward(
+                    Tensor(ds.inputs[batch].astype(np.float32)),
+                    training=True), ds.targets[batch], cfg.loss)
+                want = tape.backward(want_loss)
+            assert float(loss) == pytest.approx(float(want_loss.data),
+                                                rel=1e-6)
+            for p in model.parameters():
+                bound = 1e-5 * np.abs(want[p]).max()
+                assert np.abs(grads[p] - want[p]).max() <= bound, p.name
+
+    def test_threads_or_serial_give_the_same_weights(self, monkeypatch):
+        cfg = tiny_train_cfg(epochs=1, batch_size=4, val_split=0.0)
+        ds = tiny_dataset(4)
+
+        def one_step():
+            model = init_params(cfg.model, seed=1)
+            train(model, ds, cfg)
+            return [p.data.tobytes() for p in model.parameters()]
+        threaded = one_step()
+        monkeypatch.setattr(parallel, "_splits", lambda: False)
+        assert one_step() == threaded
+
+    @pytest.mark.parametrize("n,batch_size,sizes", [
+        (8, 4, [(2, 2), (2, 2)]),
+        (3, 3, [(1, 2)]),
+        (2, 1, [(1,), (1,)]),
+        (5, 4, [(2, 2), (1,)]),  # the epoch's last batch holds one
+    ], ids=["4+4", "3", "1+1", "4+1"])
+    def test_parts_of_each_step(self, n, batch_size, sizes, submitted,
+                                monkeypatch):
+        # sizes: each step's part sizes in part order; a step of two parts
+        # hands part A to the helper, a batch of one runs alone here
+        parts = []
+        real = training._part_step
+
+        def _part_step(model, dataset, cfg, epoch, step, part, index,
+                       share):
+            parts.append((step, index, len(part)))
+            return real(model, dataset, cfg, epoch, step, part, index, share)
+        monkeypatch.setattr(training, "_part_step", _part_step)
+        cfg = tiny_train_cfg(epochs=1, batch_size=batch_size, val_split=0.0)
+        train(init_params(cfg.model, seed=0), tiny_dataset(n), cfg)
+        assert sorted(parts) == [(step, index, size)
+                                 for step, step_sizes in enumerate(sizes)
+                                 for index, size in enumerate(step_sizes)]
+        assert submitted == ["_part_step"] * sum(len(w) == 2 for w in sizes)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_nonfinite_logits_in_either_part_raise_before_adam(
+            self, index, tmp_path, monkeypatch):
+        cfg = tiny_train_cfg(epochs=1, batch_size=4, val_split=0.0)
+        ds = tiny_dataset(8)
+        model = init_params(cfg.model, seed=0)
+        order = np.random.default_rng(
+            [cfg.seed, training._SHUFFLE_TAG, 0]).permutation(8)
+        part = order[4:6] if index == 0 else order[6:8]  # of step 2
+        poisoned = ds.inputs[part].astype(np.float32)
+        forward = model.forward
+
+        def poisoning(x, **kwargs):  # that part sets a NaN bias
+            if np.array_equal(x.data, poisoned):
+                model["head.b"].data[0] = np.nan
+            return forward(x, **kwargs)
+        monkeypatch.setattr(model, "forward", poisoning)
+        steps = []
+        adam = training.adam_step
+        monkeypatch.setattr(training, "adam_step",
+                            lambda *a, **k: steps.append(adam(*a, **k)))
+        with pytest.raises(ValueError, match=r"non-finite logits at epoch 1, "
+                           r"step 2; first bad parameter: head\.b"):
+            train(model, ds, cfg, out_dir=tmp_path)
+        assert len(steps) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # inference, baseline, benchmark
 # ---------------------------------------------------------------------------
