@@ -169,6 +169,7 @@ def _cmd_bench(args) -> int:
     model = init_params(cfg, seed=args.seed)
     out = benchmark(model, iters=args.iters)
     print(f"median_ms={out['median_ms']:.3f} p95_ms={out['p95_ms']:.3f} "
+          f"moving_bar_median_ms={out['moving_bar_median_ms']:.3f} "
           f"traced_peak_bytes={out['traced_peak_bytes']} "
           f"n_params={out['n_params']}")
     return 0

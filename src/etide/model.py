@@ -5,10 +5,13 @@ feature map, time is packed into channels (D = T_in * C_s), a stack of
 mixing blocks interacts the packed tensor with purely 2-D operators, and an
 upsampling decoder emits T_out * 2 logit maps in one pass. Every encoder
 and decoder stage is one ops.conv_ln_gelu call (conv -> LN -> GELU; the
-decoder's conv runs on the nearest-2x upsample of its input). An enc0
-window that holds no event reuses one constant vector, gelu(LN(bias)),
-so the stem computes only the windows with events. Blocks are pre-norm
-residual:
+decoder's conv runs on the nearest-2x upsample of its input). The
+encoder computes only its active windows, forward and backward: an enc0
+window that holds no event gives one constant vector, gelu(LN(bias)), so
+the stem computes the windows with events and hands enc1 its active set
+(ops.ActiveSet); enc1 computes the windows that read one of them or the
+zero padding, and its other windows share one background vector too.
+Blocks are pre-norm residual:
 
     U' = U  + droppath(core(LN(U)))
     out = U' + droppath(ffn(LN(U')))
@@ -176,8 +179,10 @@ class TideModel:
         return parallel.split(self._encode_frames, h, axis=0)
 
     def _encode_frames(self, h: Tensor) -> Tensor:
+        # a stage that feeds another hands it its active set
+        last = self.config.stages - 1
         for i in range(self.config.stages):
-            h = self._stage(h, f"enc{i}", stride=2)
+            h = self._stage(h, f"enc{i}", stride=2, active_set=i < last)
         return h
 
     def _stage(self, h: Tensor, prefix: str, **kwargs) -> Tensor:

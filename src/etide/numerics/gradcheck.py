@@ -112,7 +112,18 @@ def _stem_events(rng):
     mask = np.zeros((2, 2, 8, 8))
     mask[0, :, 2:4, 2:4] = 1.0
     mask[1, 1, 5:7, 1:3] = 1.0
-    return mask
+    return mask * rng.uniform(0.5, 1.5, size=mask.shape)
+
+
+def _enc1_events(rng):
+    """Events on a [2, 1, 16, 28] input. Through two stride-2 stages they
+    activate the first stage's locations (3, 5) in sample 0, and (4, 6)
+    and (4, 7) in sample 1; the second stage's 4x7 plane then has 14 and 12
+    active windows of 28, its top row and left column (which read the
+    zero padding) among them."""
+    events = np.zeros((2, 1, 16, 28))
+    events[0, 0, 6, 10] = events[1, 0, 8, 13] = 1.0
+    return events * rng.uniform(0.5, 1.5, size=events.shape)
 
 
 def _relu(seed):
@@ -195,11 +206,23 @@ def op_suite_cases() -> dict:
         "conv2d_upsample": _case(
             partial(ops.conv2d, padding=1, upsample=True),
             ("x", (2, 3, 3, 4)), ("w", (4, 3, 3, 3)), ("b", (4,))),
+        # a dense input that needs a gradient takes the dense route
         "conv_ln_gelu_sparse": _case(
-            lambda x, w, b, g, be, events: ops.conv_ln_gelu(
-                ops.scale(x, events), w, b, g, be, stride=2, padding=1),
-            ("x", (2, 2, 8, 8)), ("w", (9, 2, 3, 3)), ("b", (9,)),
-            ("g", (9,), 0.5, 1.5), ("be", (9,)), const=_stem_events),
+            lambda w, b, g, be, x: ops.conv_ln_gelu(
+                Tensor(x), w, b, g, be, stride=2, padding=1),
+            ("w", (9, 2, 3, 3)), ("b", (9,)), ("g", (9,), 0.5, 1.5),
+            ("be", (9,)), const=_stem_events),
+        # enc0 -> enc1: the second stage reads the first's ActiveSet, and
+        # its per-tap GEMMs have 4 rows of 8 stride-phase columns, whole
+        # column groups
+        "conv_ln_gelu_active_set": _case(
+            lambda w0, b0, g0, be0, w1, b1, g1, be1, x: ops.conv_ln_gelu(
+                ops.conv_ln_gelu(Tensor(x), w0, b0, g0, be0, stride=2,
+                                 padding=1, active_set=True),
+                w1, b1, g1, be1, stride=2, padding=1),
+            ("w0", (5, 1, 3, 3)), ("b0", (5,)), ("g0", (5,), 0.5, 1.5),
+            ("be0", (5,)), ("w1", (3, 5, 3, 3)), ("b1", (3,)),
+            ("g1", (3,), 0.5, 1.5), ("be1", (3,)), const=_enc1_events),
         # enc1's route: a strided conv on the stride phases
         "conv_ln_gelu_dense": _case(
             partial(ops.conv_ln_gelu, stride=2, padding=1),

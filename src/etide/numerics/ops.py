@@ -28,25 +28,34 @@ its upsample flag:
 
 conv_ln_gelu (conv -> layer norm -> GELU) is every encoder and decoder
 stage of the model, one tape node each, with the bytes of conv2d,
-layer_norm_channels and gelu. Where conv2d takes im2col (the stem, enc0:
+layer_norm_channels and gelu. The encoder's stages run on their active
+windows, forward and backward. Where conv2d takes im2col (the stem, enc0:
 2 -> 32 channels at stride 2), it builds the im2col matrix once; a column
 holds an output location's input window, so the columns with a nonzero
 value are the active locations. The GEMM runs on those columns alone, then
 LN and GELU channel-major; every other location gets the background
 gelu(LN(bias)). On a 2-vCPU VM this was 3-8x faster than the dense ops at
 the 4-14% active locations of full-config forecast windows, and break-even
-near 70% active. Above 50% active, or when an output plane is not a whole
-number of GEMM column groups, the GEMM runs on the whole matrix instead.
+near 70% active. A sparse stage output can stay compact, an ActiveSet:
+its active columns, their flat indices and the background. The next stage
+(enc1) reads it with no scatter and computes the windows that read an
+active location or the zero padding, gathering each tap's input column;
+every tap of any other window reads the background, so one more column is
+that stage's background. Above 50% active, or when the dense GEMMs are not
+a whole number of GEMM column groups, a stage runs densely instead.
 
-Every other stage (enc1, and the decoder with upsample=True) runs conv2d's
-kernel densely. Every route then runs one epilogue, _bias_ln_gelu: it adds
-the bias into the conv buffer and centres it in place for LN, so the tape
+Every other stage (the decoder, with upsample=True) runs conv2d's kernel
+densely. Every route then runs one epilogue, _bias_ln_gelu: it adds the
+bias into the conv buffer and centres it in place for LN, so the tape
 keeps no conv output; with no tape recording, GELU's result lands in that
 buffer too. Under a tape it keeps what the backward reads (LN's xn and
-1/std, the LN output, GELU's cdf). On the sparse stem these stay compact,
-one column per active location plus the background; the forward scatters
-only the output to full size, and the stem's backward scatters the rest
-when it runs.
+1/std, the LN output, GELU's cdf); on the sparse route these stay
+compact, one column per active location plus the background, and so do
+the conv's input columns. The sparse backward runs on those columns: the
+background column carries the upstream gradient summed over every
+background location, since LN and GELU have one Jacobian there. That
+moves the gradients' last bits, and a test bounds the difference from the
+dense route.
 
 The sub-pixel conv computes its parity rows a = 0 and a = 1 through
 parallel.both, each the same GEMM calls as the serial loop, and a stage's
@@ -54,11 +63,12 @@ bias -> LN -> GELU runs through parallel.split by rows. parallel's module
 docstring says when these use the helper thread and why they keep the
 bits.
 
-Backward passes rebuild padded inputs and columns from the saved input
-instead of keeping them on the tape.
+Dense backward passes rebuild padded inputs and columns from the saved
+input instead of keeping them on the tape.
 
 focal_loss_map computes one exp(-|s|) per logit on the true-class form,
-with no np.logaddexp, a scalar libm loop that dominated the loss.
+with no np.logaddexp, a scalar libm loop that dominated the loss, in
+cache-sized blocks of the flat logits.
 
 Ops preserve the dtype of their inputs so the same code runs in float32
 for training and float64 for finite-difference checking.
@@ -94,9 +104,10 @@ def _recording(inputs: tuple) -> bool:
         t is not None and t.requires_grad for t in inputs)
 
 
-def _track(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
-    """Wrap an op's forward result; record its backward on the active tape
-    when some input (a Tensor or None) needs a gradient.
+def _track(data: np.ndarray, inputs: tuple, vjp, make=Tensor) -> Tensor:
+    """Wrap an op's forward result in make(data, requires_grad) (a Tensor
+    by default); record its backward on the active tape when some input (a
+    Tensor or None) needs a gradient.
 
     The node keeps only the inputs that need a gradient. Backward pops the
     output's gradient from the tape's map and adds the inputs' gradients
@@ -106,11 +117,11 @@ def _track(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     costly to make.
     """
     if not _recording(inputs):
-        return Tensor(data)
+        return make(data)
     need = [t if t is not None and t.requires_grad else None for t in inputs]
     while need[-1] is None:
         need.pop()
-    out = Tensor(data, requires_grad=True)
+    out = make(data, requires_grad=True)
     grads = active_tape().grads  # the map, not the tape: no reference cycle
 
     def backward():
@@ -768,49 +779,100 @@ def _layer_norm_grads(g, xn, inv, gamma, need_dx: bool):
 
 
 # ---------------------------------------------------------------------------
-# conv -> layer norm -> GELU stages, with the sparse stem
+# conv -> layer norm -> GELU stages, on their active windows
 # ---------------------------------------------------------------------------
 
-# An output location whose k x k input window holds only zeros has conv
-# output = bias there, so gelu(layer_norm(bias)), the background, every
-# time. Such a window is an all-zero column of _im2col's matrix, so
-# conv_ln_gelu selects the other columns, pads them with zero windows to a
-# whole number of parallel.GEMM_COLUMN_GROUP columns and runs one GEMM on
-# that block; the first padding column is the background.
-# The padding keeps the bits by parallel's column-group condition (its
-# module docstring). So the sparse route also needs output planes of whole
-# groups, where the dense GEMM has no trailing group either. Past about 70%
-# active locations the dense kernels are faster; _STEM_MAX_ACTIVE leaves a
-# margin.
+# An output window that reads only the background (zeros at the stem, the
+# previous stage's background vector after it) and no zero padding has the
+# same conv output, W * background + bias, everywhere, so one background
+# vector after LN and GELU. conv_ln_gelu computes the other windows, the
+# active ones, as the columns of one block: their input windows, then
+# background windows up to a whole number of parallel.GEMM_COLUMN_GROUP
+# columns, the first of which is the background. The block keeps the bits
+# of the dense GEMMs by parallel's column-group condition (its module
+# docstring), so the sparse route also needs dense GEMMs of whole groups.
+# Past about 70% active locations the dense kernels are faster;
+# _STEM_MAX_ACTIVE leaves a margin.
 _STEM_MAX_ACTIVE = 0.5
 
 
-def _stem_active(cols: np.ndarray) -> Optional[np.ndarray]:
-    """Flat indices b*M + p of the columns of cols[B, K, M] that hold a
-    nonzero value: the output locations whose window does. None, for the
-    dense route, when M is not a whole number of column groups or more than
-    _STEM_MAX_ACTIVE of the columns are active."""
-    if cols.shape[2] % parallel.GEMM_COLUMN_GROUP:
+class ActiveSet(Tensor):
+    """A conv_ln_gelu output on the sparse route, kept compact
+    (active_set=True). data[1, C, Mt, 1] holds at column n < len(where)
+    the value at flat location where[n] = b*H*W + y*W + x of the
+    [B, C, H, W] map dense_shape, and at column len(where) the background,
+    the value at every other location; the columns after it repeat the
+    background. Its gradient on a tape has data's shape: the gradient at
+    where[n], then the gradient summed over all background locations, then
+    zeros."""
+
+    __slots__ = ("where", "dense_shape")
+
+    def __init__(self, data, where: np.ndarray, dense_shape: tuple,
+                 requires_grad: bool = False):
+        super().__init__(data, requires_grad)
+        self.where = where
+        self.dense_shape = dense_shape
+
+
+def _sparse_where(active: np.ndarray, columns: int) -> Optional[np.ndarray]:
+    """Flat indices of active's True entries, or None for the dense route:
+    when the dense GEMMs' `columns` are not whole column groups, or more
+    than _STEM_MAX_ACTIVE of active is True."""
+    if columns % parallel.GEMM_COLUMN_GROUP:
         return None
-    active = cols.any(axis=1)
     where = np.flatnonzero(active)
     return None if where.size > _STEM_MAX_ACTIVE * active.size else where
 
 
+def _stem_active(cols: np.ndarray) -> Optional[np.ndarray]:
+    """_sparse_where of the stem: the flat indices b*M + p of the columns
+    of its im2col matrix cols[B, K, M] that hold a nonzero value, the
+    output locations whose window does."""
+    return _sparse_where(cols.any(axis=1), cols.shape[2])
+
+
+def _block_width(m: int) -> int:
+    """Mt: the next multiple of parallel.GEMM_COLUMN_GROUP above m."""
+    return (m // parallel.GEMM_COLUMN_GROUP + 1) * parallel.GEMM_COLUMN_GROUP
+
+
 def _stem_columns(cols: np.ndarray, where: np.ndarray) -> np.ndarray:
     """[K, Mt]: the flat columns `where` of cols[B, K, M], then zero windows
-    up to Mt, the next multiple of parallel.GEMM_COLUMN_GROUP above
-    len(where)."""
-    m, group = where.size, parallel.GEMM_COLUMN_GROUP
-    block = np.zeros((cols.shape[1], (m // group + 1) * group),
-                     dtype=cols.dtype)
+    up to Mt = _block_width(len(where))."""
+    m = where.size
+    block = np.zeros((cols.shape[1], _block_width(m)), dtype=cols.dtype)
     b_idx, p_idx = np.divmod(where, cols.shape[2])
     block[:, :m] = cols[b_idx, :, p_idx].T
     return block
 
 
-def _stem_scatter(block: np.ndarray, where: np.ndarray,
-                  shape: tuple) -> np.ndarray:
+def _window_sources(x: ActiveSet, k: int, stride: int, padding: int,
+                    h_out: int, w_out: int, columns: int):
+    """(where, idx) of a k x k conv on the ActiveSet x, or None for the
+    dense route (_sparse_where). where: the flat indices of the output
+    windows that read an active location of x or the zero padding.
+    idx[k*k, Mt]: the column of x.data that tap i*k + j of block column n
+    reads, or x.data's width for the zero padding; the columns from
+    len(where) on read the background at every tap."""
+    b_, _, h, w = x.dense_shape
+    m, width = x.where.size, x.data.shape[2]
+    flat = np.full(b_ * h * w, m)
+    flat[x.where] = np.arange(m)
+    pos = np.full((b_, h + 2 * padding, w + 2 * padding), width)
+    pos[:, padding:padding + h, padding:padding + w] = flat.reshape(b_, h, w)
+    rows, cols = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
+    taps = np.stack([pos[:, i:i + rows:stride, j:j + cols:stride]
+                     for i in range(k) for j in range(k)]).reshape(k * k, -1)
+    where = _sparse_where((taps != m).any(axis=0), columns)
+    if where is None:
+        return None
+    idx = np.full((k * k, _block_width(where.size)), m)
+    idx[:, :where.size] = taps[:, where]
+    return where, idx
+
+
+def _scatter(block: np.ndarray, where: np.ndarray, shape: tuple) -> np.ndarray:
     """[B, C, H, W] array holding column n of block[1, C, Mt, 1] at flat
     location where[n], and column len(where), the background, everywhere
     else; shape gives B, H and W, and block its C."""
@@ -823,68 +885,172 @@ def _stem_scatter(block: np.ndarray, where: np.ndarray,
     return out.reshape(shape[0], c, *shape[2:])
 
 
+def _compact(g: np.ndarray, where: np.ndarray, width: int) -> np.ndarray:
+    """The ActiveSet form [1, C, width, 1] of the gradient g[B, C, H, W] of
+    a _scatter output: g at each location of where, then g summed over
+    every other location, then zeros."""
+    b_, c = g.shape[:2]
+    gf = g.reshape(b_, c, -1)
+    m = where.size
+    out = np.zeros((c, width), dtype=g.dtype)
+    b_idx, p_idx = np.divmod(where, gf.shape[2])
+    out[:, :m] = gf[b_idx, :, p_idx].T
+    background = np.ones((b_, gf.shape[2], 1), dtype=g.dtype)
+    background.reshape(-1)[where] = 0.0
+    out[:, m] = np.matmul(gf, background).sum(axis=0)[:, 0]
+    return out[None, :, :, None]
+
+
+def _densify(x: ActiveSet) -> Tensor:
+    """x as its dense [B, C, H, W] map, for a stage on the dense route."""
+    return _track(_scatter(x.data, x.where, x.dense_shape), (x,),
+                  lambda g: (_compact(g, x.where, x.data.shape[2]),))
+
+
+def _block_conv(wd: np.ndarray, cols: np.ndarray, per_tap: bool) -> np.ndarray:
+    """The conv output [Cout, Mt] on the column block cols[Cin, k*k, Mt]:
+    per-tap GEMMs summed in tap order, as _flat_conv, or one GEMM with
+    K = Cin*k*k, as _im2col_conv."""
+    cout, cin, k, _ = wd.shape
+    if per_tap:
+        taps = enumerate(_tap_major(wd).reshape(k * k, cout, cin))
+        return _flat_taps(cols[None], [(t, 0, wt) for t, wt in taps],
+                          cols.shape[2])[0]
+    return np.matmul(wd.reshape(cout, -1), cols.reshape(cin * k * k, -1))
+
+
+def _block_grads(gc: np.ndarray, cols: np.ndarray, idx, x: Tensor,
+                 wd: np.ndarray, need_dw: bool):
+    """Yields the input and weight gradients of _block_conv from
+    gc[1, Cout, Mt, 1]: x's only when it is an ActiveSet that needs one
+    (compact, each tap's window gradient added at the column idx names),
+    the weight's when need_dw."""
+    cout, cin = wd.shape[:2]
+    g2 = gc.reshape(cout, -1)
+    if x.requires_grad:
+        dcols = np.matmul(wd.reshape(cout, -1).T, g2).reshape(cin, -1)
+        flat, width = idx.reshape(-1), x.data.shape[2] + 1
+        dx = np.stack([np.bincount(flat, weights=row, minlength=width)[:-1]
+                       for row in dcols])
+        del dcols
+        yield dx.astype(wd.dtype)[None, :, :, None]
+        del dx
+    else:
+        yield None
+    yield (np.matmul(g2, cols.reshape(-1, g2.shape[1]).T).reshape(wd.shape)
+           if need_dw else None)
+
+
 def conv_ln_gelu(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor,
                  beta: Tensor, stride: int = 1, padding: int = 0,
-                 upsample: bool = False, eps: float = 1e-6) -> Tensor:
+                 upsample: bool = False, eps: float = 1e-6,
+                 active_set: bool = False) -> Tensor:
     """gelu(layer_norm_channels(conv2d(x, weight, bias, stride, padding,
     upsample=upsample), gamma, beta, eps)), with the same bytes, as one op:
     every encoder and decoder stage of the model.
 
-    When conv2d would take im2col (the stem, enc0), the im2col matrix is
-    built once. If _stem_active finds few enough nonzero columns, the GEMM
-    runs on _stem_columns' selection of them, as a [1, Cout, Mt, 1] block,
-    and _stem_scatter gives every other location the background; if not, on
-    the whole matrix. Any other stage runs conv2d's kernel. Each route then
-    runs _bias_ln_gelu on the conv's buffer as a parallel.split by rows;
-    LN centres it in place, which pays for holding x until the op returns.
-    With no tape recording, GELU's result lands in that buffer too. Under a
-    tape the node keeps LN's xn and 1/std, the LN output and GELU's cdf,
-    and no conv output; on the sparse route these stay [1, C, Mt, 1]
-    blocks, and only the output is scattered to [B, C, H, W] in the
-    forward. The backward is the three ops': it scatters the four blocks
-    when it runs and drops them before the conv's gradients.
+    The sparse route computes only the active windows, as the columns of a
+    block [Cin, k*k, Mt]:
+    * at the stem, where conv2d takes im2col and x needs no gradient, the
+      im2col matrix is built once, and the block is _stem_columns' copy of
+      its columns that hold a nonzero value (_stem_active);
+    * on an ActiveSet x, the block gathers the windows of _window_sources
+      from x.data and a zero column, with no scatter, when conv2d takes the
+      per-tap or the im2col route.
+    The conv runs on that block (_block_conv), as a [1, Cout, Mt, 1] array.
+    If _sparse_where picks the dense route, the stem's GEMM runs on the
+    whole matrix, an ActiveSet x is scattered first (_densify), and every
+    other stage runs conv2d's kernel.
+
+    Each route then runs _bias_ln_gelu on the conv's buffer as a
+    parallel.split by rows; LN centres it in place, which pays for holding
+    x until the op returns. With no tape recording, GELU's result lands in
+    that buffer too. Under a tape the node keeps LN's xn and 1/std, the LN
+    output and GELU's cdf, and no conv output; on the sparse route these
+    stay compact, and so does the block, for the weight gradient. The
+    sparse output is scattered to [B, C, H, W], or with active_set=True
+    returned as an ActiveSet, which the next stage reads.
+
+    The backward of the dense route is the three ops'. The sparse route's
+    runs on the block's columns. An upstream gradient of the scattered
+    output is first summed over the background locations (_compact): LN and
+    GELU have one Jacobian there, and a background window adds nothing to
+    the weight gradient at the stem (a zero window) and the same outer
+    product after it, so the one background column carries them all. The
+    input gradient of an ActiveSet x comes back compact; an active location
+    of x is read only by active windows, and every tap of a background
+    window reads x's background. This reorders float sums: the gradients
+    differ from the dense route's in the last bits.
     """
     x, weight, conv, grads, (bias, gamma, beta) = _conv_route(
         "conv_ln_gelu", x, weight, stride, padding, 1, upsample, bias=bias,
         gamma=gamma, beta=beta)
-    inputs = (x, weight, bias, gamma, beta)
-    keep = _recording(inputs)
-
-    where = None
-    if conv.func is _im2col_conv:
-        cout, _, k, _ = weight.shape
-        shape = (x.shape[0], cout,
-                 *_conv_geometry(*x.shape[2:], k, stride, padding))
+    cout, cin, k, _ = weight.shape
+    b_, _, h, w = x.dense_shape if isinstance(x, ActiveSet) else x.shape
+    shape = (b_, cout, *_conv_geometry(h, w, k, stride, padding))
+    per_tap = conv.func is _flat_conv
+    cols = where = idx = None
+    if isinstance(x, ActiveSet):
+        # the per-tap GEMMs run over padded rows of the stride phases
+        row = -(-(w + 2 * padding) // stride) if per_tap else shape[3]
+        found = (_window_sources(x, k, stride, padding, *shape[2:],
+                                 shape[2] * row)
+                 if per_tap or conv.func is _im2col_conv else None)
+        if found is None:
+            x = _densify(x)
+        else:
+            where, idx = found
+            src = np.concatenate([x.data.reshape(cin, -1),
+                                  np.zeros((cin, 1), dtype=x.dtype)], axis=1)
+            cols = src[:, idx]
+            del src
+    elif conv.func is _im2col_conv and not x.requires_grad:
         cols = _im2col(x.data, k, stride, padding, *shape[2:])
         where = _stem_active(cols)
         if where is not None:
-            cols = _stem_columns(cols, where)
-        c = np.matmul(weight.data.reshape(cout, -1), cols)
-        del cols
-        c = c.reshape(shape) if where is None else c[None, :, :, None]
+            cols = _stem_columns(cols, where).reshape(cin, k * k, -1)
+    inputs = (x, weight, bias, gamma, beta)
+    keep = _recording(inputs)
+
+    if where is not None:
+        c = _block_conv(weight.data, cols, per_tap)[None, :, :, None]
+    elif cols is not None:  # the stem's dense route: the whole matrix
+        c = np.matmul(weight.data.reshape(cout, -1), cols).reshape(shape)
     else:
         c = np.ascontiguousarray(conv(x.data, weight.data))
+    if where is None or not keep:
+        cols = None
     # per location, so any cut keeps its bits; a recording tape keeps it
     # inline, where one call returns what the backward reads
     data, *saved = parallel.split(partial(
         _bias_ln_gelu, bias=bias.data, gamma=gamma.data, beta=beta.data,
         eps=eps, keep=keep), c, axis=2) or (c,)
-    if where is not None:
-        data = _stem_scatter(data, where, shape)
+    width = data.shape[2]
+    make = Tensor
+    if where is not None and active_set:
+        make = partial(ActiveSet, where=where, dense_shape=shape)
+    elif where is not None:
+        data = _scatter(data, where, shape)
 
     def vjp(g):
-        y, xn, inv, cdf = (saved if where is None else
-                           (_stem_scatter(a, where, shape) for a in saved))
+        if where is not None and not active_set:
+            g = _compact(g, where, width)
+        y, xn, inv, cdf = saved
+        saved.clear()  # the tape is single-use
         gc, dgamma, dbeta = _layer_norm_grads(_gelu_grad(g, y, cdf), xn, inv,
                                               gamma.data, need_dx=True)
-        del y, xn, inv, cdf
-        yield from grads(gc, x.data, weight.data, need_dx=x.requires_grad,
-                         need_dw=weight.requires_grad)
+        del g, y, xn, inv, cdf
+        if where is None:
+            yield from grads(gc, x.data, weight.data, need_dx=x.requires_grad,
+                             need_dw=weight.requires_grad)
+        else:
+            yield from _block_grads(gc, cols, idx, x, weight.data,
+                                    weight.requires_grad)
         yield gc.sum(axis=(0, 2, 3))
         del gc
         yield dgamma
         yield dbeta
-    return _track(data, inputs, vjp)
+    return _track(data, inputs, vjp, make)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,6 +1169,9 @@ def gated_product(gate: Tensor, features: Tensor,
 # loss kernels
 # ---------------------------------------------------------------------------
 
+_FOCAL_BLOCK = 1 << 16  # elements: a block's five buffers fit in L2
+
+
 def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
                    gamma: float, eps: float = 1e-8) -> Tensor:
     """Elementwise focal binary cross-entropy from logits.
@@ -1020,6 +1189,9 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     for a = log sigmoid(t), so saturated logits stay finite. Under a tape
     the forward also computes dL/ds = sign(t/s) * dL/dt without the final
     factor of the output gradient, and the tape keeps that one array.
+    The chain runs on blocks of _FOCAL_BLOCK flat cells, whose temporaries
+    stay in cache, into the full-size output and derivative; each cell's
+    operations are the same, so the bytes do not depend on the block.
     """
     logits = as_tensor(logits)
     y = np.asarray(targets)
@@ -1028,12 +1200,28 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
             f"focal_loss_map: target shape {y.shape} != logits {logits.shape}")
     if not is_binary(y):
         raise ValueError("focal_loss_map: targets must be binary {0,1}")
-    y = y.astype(logits.dtype, copy=False)
-    log_eps = math.log(eps)
-
     # flat views: every ufunc then returns an array, a 0-d input included
-    s = logits.data.reshape(-1)
-    yf = y.reshape(-1)
+    s, yf = logits.data.reshape(-1), y.reshape(-1)
+    data = np.empty_like(s)
+    # with no node recorded, no derivative is needed
+    d = np.empty_like(s) if _recording((logits,)) else None
+    for start in range(0, s.size, _FOCAL_BLOCK):
+        cells = slice(start, start + _FOCAL_BLOCK)
+        _focal_block(s[cells], yf[cells].astype(s.dtype, copy=False), alpha,
+                     gamma, eps, data[cells], None if d is None else d[cells])
+
+    def vjp(g):
+        # the tape is single-use, so d can take the product in place
+        np.multiply(d, g.reshape(-1), out=d)
+        return (d.reshape(logits.shape),)
+    return _track(data.reshape(logits.shape), (logits,), vjp)
+
+
+def _focal_block(s: np.ndarray, yf: np.ndarray, alpha: float, gamma: float,
+                 eps: float, data: np.ndarray, d: Optional[np.ndarray]):
+    """focal_loss_map's chain on flat logits s and targets yf: the loss
+    into data and, when d is given, the derivative into d."""
+    log_eps = math.log(eps)
     buf = np.multiply(yf, 2.0)
     buf -= 1.0
     t = np.multiply(s, buf)                # true-class logit
@@ -1062,30 +1250,20 @@ def focal_loss_map(logits: Tensor, targets: np.ndarray, alpha: float,
     st /= e                                # sigmoid(t)
     sf /= e                                # 1 - sigmoid(t)
     sfg = np.power(sf, gamma, out=e)
-    data = np.empty_like(s)
-    # with no node recorded, no derivative is needed
-    keep = _recording((logits,))
-    if keep:
+    if d is not None:
         # sf is needed only as sf/(st+eps); data is the scratch for st+eps
         np.divide(sf, np.add(st, eps, out=data), out=sf)
     np.multiply(yf, 1.0 - 2.0 * alpha, out=data)
     data += alpha - 1.0                    # -w
     data *= sfg
     data *= logt
-    d = None
-    if keep:
+    if d is not None:
         # dL/dt = w*st*sfg*(gamma*logt - sf/(st+eps)); sign*w = y+alpha-1
-        d = np.multiply(logt, gamma, out=logt)
+        np.multiply(logt, gamma, out=d)
         d -= sf
         d *= st
         d *= sfg
         d *= np.add(yf, alpha - 1.0, out=sf)
-
-    def vjp(g):
-        # the tape is single-use, so d can take the product in place
-        np.multiply(d, g.reshape(-1), out=d)
-        return (d.reshape(logits.shape),)
-    return _track(data.reshape(logits.shape), (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ computed by the same float operations in the same order:
   computes a GEMM column the same way wherever it sits among whole groups
   (16 columns; 8 did not hold in a sparse enc1 prototype), except that a
   single column goes to gemv and dgemm gives a trailing group of 1-4
-  columns another kernel. ops.conv_ln_gelu's sparse stem relies on the
-  same condition. Parts that overlap by a halo instead of by whole
+  columns another kernel. ops.conv_ln_gelu's sparse encoder stages rely
+  on the same condition. Parts that overlap by a halo instead of by whole
   parities do not keep the bits: in a prototype, a row-halo split of the
   64x64 decoder moved its last 5 output rows by 1 ulp, because its lower
   part ended in a partial group.

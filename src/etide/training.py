@@ -420,7 +420,8 @@ def train(model: TideModel, dataset: SequenceDataset, cfg: TrainConfig,
     One batch-4 step of the learning-check model (seed 0) on the first
     four 128^2 moving-bar sequences of seed 0 gives a norm of 2.3e14, with
     max |grad| 1.0e14 on enc0.conv.b (the same figures with the batch
-    split or not). Epoch 1's grad_norm and any grad_clip see this; Adam
+    split or not, and with the encoder's backward on its active windows
+    or dense). Epoch 1's grad_norm and any grad_clip see this; Adam
     normalises its step, so training proceeds.
     With a validation split, frames smaller than SSIM's window raise
     ValueError before the first step. Non-finite logits of either part,
@@ -590,10 +591,10 @@ def estimate_activation_bytes(cfg: ModelConfig, batch: int = 1) -> int:
     tape holds after one such forward of init_params(cfg, seed=0) on a
     fixed 25%-dense binary input. Parameters are left out. At the
     learning-check config, batch 4, it reads 112.2 MiB.
-    That input activates nearly every stem window, so the stem takes its
-    dense route (ops.conv_ln_gelu). A sparse input keeps less wherever the
-    stem takes its sparse route, whose tape holds compact blocks: the
-    first four moving-bar sequences of seed 7 keep 78.5 MiB there.
+    That input activates nearly every stem window, so the encoder takes
+    its dense route (ops.conv_ln_gelu). A sparse input keeps less wherever
+    the encoder takes its sparse route, whose tape holds compact blocks:
+    the first four moving-bar sequences of seed 7 keep 72.2 MiB there.
     Where the stem runs densely, the density moves the figure by under
     0.1%."""
     model = init_params(cfg, seed=0)
@@ -612,28 +613,43 @@ def estimate_activation_bytes(cfg: ModelConfig, batch: int = 1) -> int:
 def benchmark(model: TideModel, iters: int = 50, warmup: int = 5,
               seed: int = 0) -> dict:
     """Median/p95 latency of predict() at batch 1, the deployed forecast
-    (two cores, with the sigmoid), and the tracemalloc peak of one more
-    such call above the bytes held before it (traced_peak_bytes; run after
-    the timed calls, which it would slow). The peak counts both threads'
-    allocations, so it moves a little with how they overlap in time. A
-    caller's running trace is left running, with its peak reset.
+    (two cores, with the sigmoid), on a window with 25% random events per
+    cell, and the tracemalloc peak of one more such call above the bytes
+    held before it (traced_peak_bytes; run after the timed calls, which it
+    would slow). The peak counts both threads' allocations, so it moves a
+    little with how they overlap in time. A caller's running trace is left
+    running, with its peak reset.
+    That input puts an event in nearly every encoder window, so the
+    encoder runs densely. moving_bar_median_ms is the median latency on
+    the first moving-bar window of make_moving_bar_dataset(seed=seed),
+    where the encoder computes only its active windows
+    (ops.conv_ln_gelu).
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     cfg = model.config
     rng = np.random.default_rng(seed)
     x = (rng.random((1, cfg.t_in, 2, cfg.height, cfg.width)) < 0.25)
-    for _ in range(warmup):
-        predict(model, x)
-    times = np.zeros(iters)
-    for i in range(iters):
-        t0 = time.perf_counter()
-        predict(model, x)
-        times[i] = (time.perf_counter() - t0) * 1e3
+    bars = make_moving_bar_dataset(1, height=cfg.height, width=cfg.width,
+                                   t_in=cfg.t_in, t_out=cfg.t_out,
+                                   seed=seed).inputs
+
+    def times(window):
+        for _ in range(warmup):
+            predict(model, window)
+        ms = np.zeros(iters)
+        for i in range(iters):
+            t0 = time.perf_counter()
+            predict(model, window)
+            ms[i] = (time.perf_counter() - t0) * 1e3
+        return ms
+    random_ms = times(x)
+    bar_ms = times(bars)
     traced_peak = _traced_bytes(lambda: predict(model, x))[1]
     return {
-        "median_ms": float(np.median(times)),
-        "p95_ms": float(np.percentile(times, 95)),
+        "median_ms": float(np.median(random_ms)),
+        "p95_ms": float(np.percentile(random_ms, 95)),
+        "moving_bar_median_ms": float(np.median(bar_ms)),
         "traced_peak_bytes": traced_peak,
         "n_params": count_params(model),
     }

@@ -14,19 +14,24 @@ def blas_thread_counts():
     return [get() for get, _ in parallel._blas_controls()]
 
 
-@contextlib.contextmanager
 def one_blas_thread():
     """Every loaded OpenBLAS at one thread for the body, and no two-core
     scope: the serial forward at one BLAS thread."""
+    return blas_threads(1)
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Every loaded OpenBLAS at `count` threads for the body."""
     controls = parallel._blas_controls()
     before = [get() for get, _ in controls]
     for _, set_ in controls:
-        set_(1)
+        set_(count)
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, before):
-            set_(count)
+        for (_, set_), n in zip(controls, before):
+            set_(n)
 
 
 @pytest.fixture

@@ -522,8 +522,9 @@ class TestVerificationCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1
         record = dict(kv.split("=") for kv in out[0].split())
-        assert set(record) == {"median_ms", "p95_ms", "traced_peak_bytes",
-                               "n_params"}
+        assert set(record) == {"median_ms", "p95_ms", "moving_bar_median_ms",
+                               "traced_peak_bytes", "n_params"}
+        assert float(record["moving_bar_median_ms"]) > 0
 
     @pytest.mark.parametrize("key,value", [
         ("gate_reduction", "0"), ("ffn_expansion", "0"),

@@ -176,6 +176,33 @@ class TestPolarityFocal:
         with pytest.raises(ValueError, match="binary"):
             ops.focal_loss_map(Tensor(logits), targets, 0.75, 2.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_focal_map_blocks_keep_the_bytes(self, monkeypatch, dtype,
+                                             record):
+        # 144000 cells: two whole blocks of ops._FOCAL_BLOCK and a partial
+        # one, against one block of them all
+        rng = np.random.default_rng(8)
+        logits = rng.normal(scale=4.0, size=(3, 2, 2, 100, 120)).astype(dtype)
+        logits[0, 0, 0, 0, :4] = (0.0, 88.0, -88.0, 1e4)
+        targets = (rng.random(logits.shape) < 0.3).astype(np.uint8)
+        assert logits.size % ops._FOCAL_BLOCK and logits.size > (
+            2 * ops._FOCAL_BLOCK)
+
+        def run():
+            s = Parameter(logits, "s", dtype=dtype)
+            if not record:
+                return [ops.focal_loss_map(s, targets, 0.75, 2.0).data]
+            with Tape() as tape:
+                out = ops.focal_loss_map(s, targets, 0.75, 2.0)
+                loss = ops.weighted_sum(out, np.ones(out.shape, dtype))
+            return [out.data, loss.data, tape.backward(loss)[s]]
+        blocked = run()
+        monkeypatch.setattr(ops, "_FOCAL_BLOCK", logits.size)
+        whole = run()
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
+        assert blocked[0].dtype == dtype
+
     def test_gradient_signs(self):
         cfg = LossConfig()
         logits, targets = random_instance(2, shape=(1, 2, 2, 3, 3))

@@ -706,9 +706,29 @@ class TestBenchmark:
         out = benchmark(model, iters=5, warmup=1)
         assert out["median_ms"] > 0
         assert out["p95_ms"] >= out["median_ms"]
+        assert out["moving_bar_median_ms"] > 0
         assert out["traced_peak_bytes"] > 0
         assert out["n_params"] == sum(p.data.size
                                       for p in model.parameters())
+
+    def test_moving_bar_figure_times_its_window(self, monkeypatch):
+        # the moving-bar figure forecasts the first window of
+        # make_moving_bar_dataset(seed=seed); the other, the random one
+        model = init_params(tiny_model_cfg(), seed=0)
+        want = training.make_moving_bar_dataset(
+            1, height=16, width=16, t_in=3, t_out=3, seed=4).inputs
+        seen = []
+        real = training.predict
+
+        def recorded(model, x):
+            seen.append(x)
+            return real(model, x)
+        monkeypatch.setattr(training, "predict", recorded)
+        benchmark(model, iters=2, warmup=1, seed=4)
+        # warm-up, timed calls and, for the random window, the traced one
+        rest = [x for x in seen if not np.array_equal(x, want)]
+        assert len(seen) == 7 and len(rest) == 4
+        assert all(0.2 < x.mean() < 0.3 for x in rest)
 
     def test_traced_peak_matches_tracemalloc(self, monkeypatch):
         # the reported peak is that of one predict() on the timed input;
